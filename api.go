@@ -133,6 +133,19 @@ const (
 	ISASSE2   = cv.ISASSE2
 )
 
+// Kernel describes one Mat→Mat kernel: name, plane kinds, geometry, row
+// passes, tolerance and parameters. Kernel.Run is its deadline-aware
+// entry point.
+type Kernel = cv.Kernel
+
+// KernelParams are a kernel's integer parameter values, in declaration
+// order.
+type KernelParams = cv.Params
+
+// KernelByName returns the descriptor called name (e.g. "GaussianBlur"),
+// or nil.
+func KernelByName(name string) *Kernel { return cv.KernelByName(name) }
+
 // ThreshType selects the thresholding rule (OpenCV THRESH_*).
 type ThreshType = cv.ThreshType
 
@@ -401,9 +414,9 @@ func Label(key, value string) MetricLabel { return obs.L(key, value) }
 // (MetricsRegistry.WriteOpenMetrics).
 type MetricExemplar = obs.Exemplar
 
-// WithTrace binds a request trace ID to a context; the Ctx kernel entry
-// points pick it up and stamp their spans and latency-histogram exemplars
-// with it. An empty ID returns ctx unchanged.
+// WithTrace binds a request trace ID to a context; kernels run through
+// Kernel.Run pick it up and stamp their spans and latency-histogram
+// exemplars with it. An empty ID returns ctx unchanged.
 func WithTrace(ctx context.Context, id string) context.Context {
 	return obs.WithTrace(ctx, id)
 }
@@ -462,9 +475,9 @@ type BreakerSet = resilience.BreakerSet
 // used by GuardPolicy.Backoff to space SIMD retries.
 type Backoff = resilience.Backoff
 
-// DeadlineError is the typed cancellation error returned by the Ctx entry
-// points, carrying partial-progress accounting (rows, trips, cells or
-// images completed).
+// DeadlineError is the typed cancellation error returned by Kernel.Run
+// and the Ctx entry points, carrying partial-progress accounting (rows,
+// trips, cells or images completed).
 type DeadlineError = resilience.DeadlineError
 
 // NewBreakerSet builds an empty breaker family reporting into reg (which

@@ -116,7 +116,12 @@ func main() {
 
 	memoCfg := memo.Config{MaxBytes: *memoBytes}
 	if *memoKernels != "" {
-		memoCfg.Kernels = strings.Split(*memoKernels, ",")
+		names, err := serve.MemoKernels(strings.Split(*memoKernels, ","))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "simdserved: -memo-kernels: %v\n", err)
+			os.Exit(2)
+		}
+		memoCfg.Kernels = names
 	}
 
 	s := serve.NewServer(serve.Config{

@@ -22,44 +22,23 @@ import (
 // suppression is direction-dependent per pixel and hysteresis is a
 // worklist traversal, both inherently serial. Amdahl's law caps the
 // whole-kernel speedup regardless of how fast the vector stages run.
-func (o *Ops) Canny(src, dst *image.Mat, lowThresh, highThresh int16) (err error) {
-	o.beginKernel("Canny")
-	defer o.endKernelP("Canny", &err)
-	if err := requireKind(src, image.U8, "Canny src"); err != nil {
-		return err
+func (o *Ops) Canny(src, dst *image.Mat, lowThresh, highThresh int16) error {
+	return o.run(Canny, src, dst, Params{int(lowThresh), int(highThresh)})
+}
+
+func cannyCheck(p Params) error {
+	if p[1] < p[0] {
+		return fmt.Errorf("cv: Canny thresholds must satisfy 0 <= low <= high, got %d/%d", p[0], p[1])
 	}
-	if err := requireKind(dst, image.U8, "Canny dst"); err != nil {
-		return err
-	}
-	if err := sameShape(src, dst); err != nil {
-		return err
-	}
-	if lowThresh < 0 || highThresh < lowThresh {
-		return fmt.Errorf("cv: Canny thresholds must satisfy 0 <= low <= high, got %d/%d",
-			lowThresh, highThresh)
-	}
-	if o.fuse.Enabled {
-		if o.UseOptimized() && o.guarded {
-			// The guard referee is the staged scalar reference: a fresh
-			// scalar Ops re-runs the unfused pipeline and the fused output
-			// is spot-checked against it.
-			return o.guardedRun("Canny", dst, 0,
-				func() error { return o.cannyFused(src, dst, lowThresh, highThresh) },
-				func(ref *Ops, d *image.Mat) error {
-					return ref.cannyStaged(src, d, lowThresh, highThresh)
-				})
-		}
-		return o.cannyFused(src, dst, lowThresh, highThresh)
-	}
-	return o.cannyStaged(src, dst, lowThresh, highThresh)
+	return nil
 }
 
 // cannyStaged is the unfused pipeline: each stage materializes its full
 // intermediate plane before the next begins.
-func (o *Ops) cannyStaged(src, dst *image.Mat, lowThresh, highThresh int16) error {
+func cannyStaged(o *Ops, src, dst *image.Mat, p Params) error {
 	nms := par.GetMat(src.Width, src.Height, image.U8)
 	defer par.PutMat(nms)
-	if err := o.cannyStagedNMS(src, nms, lowThresh, highThresh); err != nil {
+	if err := o.cannyStagedNMS(src, nms, int16(p[0]), int16(p[1])); err != nil {
 		return err
 	}
 	o.cannyHysteresis(nms.U8Pix, dst.U8Pix, src.Width, src.Height)

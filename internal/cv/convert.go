@@ -18,44 +18,20 @@ import (
 //     zero), while the hand NEON path uses vcvt.s32.f32 which truncates —
 //     a genuine, documented divergence of the real NEON port that shows up
 //     as off-by-one results on fractional pixels.
-func (o *Ops) ConvertF32ToS16(src, dst *image.Mat) (err error) {
-	o.beginKernel("ConvertF32ToS16")
-	defer o.endKernelP("ConvertF32ToS16", &err)
-	if err := requireKind(src, image.F32, "ConvertF32ToS16 src"); err != nil {
-		return err
+func (o *Ops) ConvertF32ToS16(src, dst *image.Mat) error {
+	return o.run(ConvertF32ToS16, src, dst, Params{})
+}
+
+func convertBody(o *Ops, src, dst *image.Mat, _ Params) error {
+	switch o.path() {
+	case ISANEON:
+		o.convertNEON(src, dst)
+	case ISASSE2:
+		o.convertSSE2(src, dst)
+	default:
+		o.convertScalar(src, dst)
 	}
-	if err := requireKind(dst, image.S16, "ConvertF32ToS16 dst"); err != nil {
-		return err
-	}
-	if err := sameShape(src, dst); err != nil {
-		return err
-	}
-	run := func(op *Ops, d *image.Mat) error {
-		if op.UseOptimized() {
-			switch op.isa {
-			case ISANEON:
-				op.convertNEON(src, d)
-				return nil
-			case ISASSE2:
-				op.convertSSE2(src, d)
-				return nil
-			}
-		}
-		op.convertScalar(src, d)
-		return nil
-	}
-	if o.UseOptimized() {
-		// The NEON vector path truncates (vcvt) while the ARM scalar
-		// referee rounds half away from zero, a documented divergence of
-		// the real port — the guard must allow one count of slack there.
-		tol := 0
-		if o.isa == ISANEON {
-			tol = 1
-		}
-		return o.guardedRun("ConvertF32ToS16", dst, tol,
-			func() error { return run(o, dst) }, run)
-	}
-	return run(o, dst)
+	return nil
 }
 
 // convArgs bundles the convert pass planes for the banded chunk bodies.

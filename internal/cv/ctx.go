@@ -1,26 +1,19 @@
 package cv
 
-import (
-	"context"
-
-	"simdstudy/internal/image"
-	"simdstudy/internal/obs"
-	"simdstudy/internal/resilience"
-)
-
-// This file is the context plumbing for the kernel library: every public
-// entry point gains a Ctx variant that honors deadlines and cancellation at
-// row granularity. The row loops of the convolution-style kernels (Gaussian,
-// Sobel, median, resize) call rowTick once per row; when the bound context
-// is done, the tick unwinds the kernel with a private panic that the Ctx
-// wrapper converts into a typed *resilience.DeadlineError carrying how many
-// rows completed. Elementwise kernels (threshold, convert) are single-pass
-// and run for microseconds per frame, so they check only at entry and at
-// guard phase boundaries.
+// This file is the context plumbing for the kernel library: Kernel.Run
+// (kernel.go) binds a context to the Ops and honors deadlines and
+// cancellation at row granularity. The row loops of the convolution-style
+// kernels (Gaussian, Sobel, median, resize) call rowTick once per row; when
+// the bound context is done, the tick unwinds the kernel with a private
+// panic that Run converts into a typed *resilience.DeadlineError carrying
+// how many rows completed. Elementwise kernels (threshold, convert) are
+// single-pass and run for microseconds per frame, so they check only at
+// entry and at guard phase boundaries.
 //
 // The internal-panic pattern follows encoding/json: the cancellation path
-// never escapes the package, and the non-Ctx entry points are completely
-// unaffected (o.ctx is nil, rowTick is a single predictable branch).
+// never escapes the package, and calls without a bound context are
+// completely unaffected (o.ctx is nil, rowTick is a single predictable
+// branch).
 
 // ctxCanceled is the private unwind token raised by rowTick.
 type ctxCanceled struct{ err error }
@@ -74,98 +67,4 @@ func (o *Ops) ctxCheck() {
 	if err := o.ctx.Err(); err != nil {
 		panic(ctxCanceled{err})
 	}
-}
-
-// runCtx binds ctx to the Ops for the duration of fn and converts
-// cancellation unwinds into *resilience.DeadlineError. totalRows is the
-// planned row count (passes x height) for partial-progress accounting.
-// Nested Ctx calls inherit the outermost binding.
-func (o *Ops) runCtx(ctx context.Context, op string, totalRows int, fn func() error) (err error) {
-	if ctx == nil || o.ctx != nil {
-		return fn()
-	}
-	o.ctx, o.ctxRows = ctx, 0
-	o.traceID = obs.TraceID(ctx)
-	defer func() {
-		rows := o.ctxRows
-		o.ctx, o.ctxRows = nil, 0
-		o.traceID = ""
-		if r := recover(); r != nil {
-			c, ok := r.(ctxCanceled)
-			if !ok {
-				panic(r)
-			}
-			err = &resilience.DeadlineError{
-				Op: op, Cause: c.err, Completed: rows, Total: totalRows, Unit: "rows",
-			}
-		}
-	}()
-	if e := ctx.Err(); e != nil {
-		return &resilience.DeadlineError{Op: op, Cause: e, Total: totalRows, Unit: "rows"}
-	}
-	return fn()
-}
-
-// ConvertF32ToS16Ctx is ConvertF32ToS16 with deadline/cancellation
-// checking at entry and guard phase boundaries.
-func (o *Ops) ConvertF32ToS16Ctx(ctx context.Context, src, dst *image.Mat) error {
-	return o.runCtx(ctx, "cv.ConvertF32ToS16", dst.Height, func() error {
-		return o.ConvertF32ToS16(src, dst)
-	})
-}
-
-// ThresholdCtx is Threshold with deadline/cancellation checking at entry
-// and guard phase boundaries.
-func (o *Ops) ThresholdCtx(ctx context.Context, src, dst *image.Mat, thresh, maxval uint8, typ ThreshType) error {
-	return o.runCtx(ctx, "cv.Threshold", dst.Height, func() error {
-		return o.Threshold(src, dst, thresh, maxval, typ)
-	})
-}
-
-// GaussianBlurCtx is GaussianBlur with row-granular cancellation across
-// both separable passes.
-func (o *Ops) GaussianBlurCtx(ctx context.Context, src, dst *image.Mat) error {
-	return o.runCtx(ctx, "cv.GaussianBlur", 2*dst.Height, func() error {
-		return o.GaussianBlur(src, dst)
-	})
-}
-
-// SobelFilterCtx is SobelFilter with row-granular cancellation across both
-// passes.
-func (o *Ops) SobelFilterCtx(ctx context.Context, src, dst *image.Mat, dx, dy int) error {
-	return o.runCtx(ctx, "cv.SobelFilter", 2*dst.Height, func() error {
-		return o.SobelFilter(src, dst, dx, dy)
-	})
-}
-
-// DetectEdgesCtx is DetectEdges with row-granular cancellation through the
-// nested Sobel passes (2 filters x 2 passes each).
-func (o *Ops) DetectEdgesCtx(ctx context.Context, src, dst *image.Mat, thresh int16) error {
-	return o.runCtx(ctx, "cv.DetectEdges", 4*dst.Height, func() error {
-		return o.DetectEdges(src, dst, thresh)
-	})
-}
-
-// CannyCtx is Canny with row-granular cancellation through the four Sobel
-// passes and the NMS pass (the flat magnitude stage and the hysteresis
-// traversal check at block/entry granularity only). Staged and fused
-// execution tick the same 5 x height row budget.
-func (o *Ops) CannyCtx(ctx context.Context, src, dst *image.Mat, lowThresh, highThresh int16) error {
-	return o.runCtx(ctx, "cv.Canny", 5*dst.Height, func() error {
-		return o.Canny(src, dst, lowThresh, highThresh)
-	})
-}
-
-// MedianBlur3x3Ctx is MedianBlur3x3 with row-granular cancellation.
-func (o *Ops) MedianBlur3x3Ctx(ctx context.Context, src, dst *image.Mat) error {
-	return o.runCtx(ctx, "cv.MedianBlur3x3", dst.Height, func() error {
-		return o.MedianBlur3x3(src, dst)
-	})
-}
-
-// ResizeHalfCtx is ResizeHalf with row-granular cancellation.
-func (o *Ops) ResizeHalfCtx(ctx context.Context, src, dst *image.Mat) error {
-	return o.runCtx(ctx, "cv.ResizeHalf", dst.Height, func() error {
-		return o.ResizeHalf(src, dst)
-	})
 }

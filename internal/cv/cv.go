@@ -62,7 +62,7 @@ func (i ISA) String() string {
 // is safe for concurrent use: the trace counter, the parallel band pool and
 // the pass sequence are all synchronized, so independent goroutines may run
 // kernels on private images through one shared Ops. The stateful extensions
-// (SetGuarded, SetBreakers, SetObserver, the Ctx variants) keep per-call
+// (SetGuarded, SetBreakers, SetObserver, Kernel.Run) keep per-call
 // state on the Ops and remain single-caller-at-a-time, as the harness uses
 // them.
 type Ops struct {
@@ -120,7 +120,7 @@ type Ops struct {
 	serialOnly bool
 	heart      *super.Heart
 
-	// Context plumbing for the Ctx kernel variants: the bound context, the
+	// Context plumbing for Kernel.Run (see ctx.go): the bound context, the
 	// rows completed under it (partial-progress accounting), and the trace
 	// ID the context carries (request tracing: kernel spans and wall-clock
 	// histogram exemplars are stamped with it).

@@ -1,6 +1,7 @@
 package cv
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -653,48 +654,24 @@ func TestQuickConvertCrossISA(t *testing.T) {
 
 // TestSIMDReducesInstructions checks the headline claim kernel-by-kernel:
 // the hand-optimized path retires fewer dynamic instructions than the
-// scalar path on every benchmark and both ISAs.
+// scalar path for every kernel descriptor on both ISAs.
 func TestSIMDReducesInstructions(t *testing.T) {
 	res := image.Resolution{Width: 128, Height: 64}
-	src := image.Synthetic(res, 1)
-	srcF := image.SyntheticF32(res, 1)
-
-	type kernel struct {
-		name string
-		run  func(o *Ops) error
-	}
-	kernels := []kernel{
-		{"convert", func(o *Ops) error {
-			return o.ConvertF32ToS16(srcF, image.NewMat(res.Width, res.Height, image.S16))
-		}},
-		{"threshold", func(o *Ops) error {
-			return o.Threshold(src, image.NewMat(res.Width, res.Height, image.U8), 128, 255, ThreshTrunc)
-		}},
-		{"gaussian", func(o *Ops) error {
-			return o.GaussianBlur(src, image.NewMat(res.Width, res.Height, image.U8))
-		}},
-		{"sobel", func(o *Ops) error {
-			return o.SobelFilter(src, image.NewMat(res.Width, res.Height, image.S16), 1, 0)
-		}},
-		{"edges", func(o *Ops) error {
-			return o.DetectEdges(src, image.NewMat(res.Width, res.Height, image.U8), 100)
-		}},
-	}
 	for _, isa := range []ISA{ISANEON, ISASSE2} {
-		for _, k := range kernels {
+		for _, c := range conformanceCalls(t) {
+			src := c.Kernel.Input(res, 1)
 			var hand, scalar trace.Counter
-			oh := NewOps(isa, &hand)
-			if err := k.run(oh); err != nil {
+			if err := c.Run(context.Background(), NewOps(isa, &hand), src, newDst(c, res)); err != nil {
 				t.Fatal(err)
 			}
 			os := NewOps(isa, &scalar)
 			os.SetUseOptimized(false)
-			if err := k.run(os); err != nil {
+			if err := c.Run(context.Background(), os, src, newDst(c, res)); err != nil {
 				t.Fatal(err)
 			}
 			if hand.Total() >= scalar.Total() {
-				t.Errorf("%v/%s: hand %d >= scalar %d instructions",
-					isa, k.name, hand.Total(), scalar.Total())
+				t.Errorf("%v/%v: hand %d >= scalar %d instructions",
+					isa, c, hand.Total(), scalar.Total())
 			}
 		}
 	}

@@ -12,42 +12,15 @@ import (
 // (horizontal and vertical passes), combine gradient magnitudes with the
 // saturating L1 norm |gx|+|gy|, then binarize — pixels whose gradient
 // intensity exceeds thresh become 255, the rest 0.
-func (o *Ops) DetectEdges(src, dst *image.Mat, thresh int16) (err error) {
-	o.beginKernel("DetectEdges")
-	defer o.endKernelP("DetectEdges", &err)
-	if err := requireKind(src, image.U8, "DetectEdges src"); err != nil {
-		return err
-	}
-	if err := requireKind(dst, image.U8, "DetectEdges dst"); err != nil {
-		return err
-	}
-	if err := sameShape(src, dst); err != nil {
-		return err
-	}
-	if o.fuse.Enabled {
-		if o.UseOptimized() && o.guarded {
-			// The guard referee is the staged scalar reference: a fresh
-			// scalar Ops re-runs the unfused pipeline and the fused output
-			// is spot-checked against it.
-			return o.guardedRun("DetectEdges", dst, 0,
-				func() error { return o.edgesFused(src, dst, thresh) },
-				func(ref *Ops, d *image.Mat) error { return ref.edgesStaged(src, d, thresh) })
-		}
-		return o.edgesFused(src, dst, thresh)
-	}
-	if o.UseOptimized() {
-		// One guard covers the whole pipeline; the nested SobelFilter
-		// calls see inGuard and skip their own referees.
-		return o.guardedRun("DetectEdges", dst, 0,
-			func() error { return o.edgesStaged(src, dst, thresh) },
-			func(ref *Ops, d *image.Mat) error { return ref.edgesStaged(src, d, thresh) })
-	}
-	return o.edgesStaged(src, dst, thresh)
+func (o *Ops) DetectEdges(src, dst *image.Mat, thresh int16) error {
+	return o.run(DetectEdges, src, dst, Params{int(thresh)})
 }
 
 // edgesStaged is the unfused pipeline: full gradient planes, then the
-// combine pass over the whole plane.
-func (o *Ops) edgesStaged(src, dst *image.Mat, thresh int16) error {
+// combine pass over the whole plane. One guard covers the whole pipeline;
+// the nested SobelFilter calls see inGuard and skip their own referees.
+func edgesStaged(o *Ops, src, dst *image.Mat, p Params) error {
+	thresh := int16(p[0])
 	gx := par.GetMat(src.Width, src.Height, image.S16)
 	defer par.PutMat(gx)
 	gy := par.GetMat(src.Width, src.Height, image.S16)
@@ -58,17 +31,14 @@ func (o *Ops) edgesStaged(src, dst *image.Mat, thresh int16) error {
 	if err := o.SobelFilter(src, gy, 0, 1); err != nil {
 		return err
 	}
-	if o.UseOptimized() {
-		switch o.isa {
-		case ISANEON:
-			o.magThreshNEON(gx, gy, dst, thresh)
-			return nil
-		case ISASSE2:
-			o.magThreshSSE2(gx, gy, dst, thresh)
-			return nil
-		}
+	switch o.path() {
+	case ISANEON:
+		o.magThreshNEON(gx, gy, dst, thresh)
+	case ISASSE2:
+		o.magThreshSSE2(gx, gy, dst, thresh)
+	default:
+		o.magThreshScalar(gx, gy, dst, thresh)
 	}
-	o.magThreshScalar(gx, gy, dst, thresh)
 	return nil
 }
 

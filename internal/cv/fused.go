@@ -272,7 +272,8 @@ func (o *Ops) beginFusedAudit(w, h int, ref func(ro *Ops, d *image.Mat) error) (
 // windows. The NMS marker plane is full-size (hysteresis walks it
 // globally afterwards), so the staged path's gx/gy/mag planes and the two
 // Sobel scratch planes never materialize.
-func (o *Ops) cannyFused(src, dst *image.Mat, lowThresh, highThresh int16) error {
+func cannyFused(o *Ops, src, dst *image.Mat, p Params) error {
+	lowThresh, highThresh := int16(p[0]), int16(p[1])
 	w, h := src.Width, src.Height
 	g, err := o.fusedGeometry("Canny", w, h)
 	if err != nil {
@@ -400,7 +401,8 @@ func (o *Ops) cannyFused(src, dst *image.Mat, lowThresh, highThresh int16) error
 // combine stage writes dst directly; it advances in flatQuantum-aligned
 // element spans so its vector/tail chunk split matches the staged
 // parFlat grid exactly.
-func (o *Ops) edgesFused(src, dst *image.Mat, thresh int16) error {
+func edgesFused(o *Ops, src, dst *image.Mat, p Params) error {
+	thresh := int16(p[0])
 	w, h := src.Width, src.Height
 	n := w * h
 	g, err := o.fusedGeometry("DetectEdges", w, h)
@@ -424,7 +426,7 @@ func (o *Ops) edgesFused(src, dst *image.Mat, thresh int16) error {
 	gyW.Bind(gy.S16Pix, w, g.Cap[fsDiffV])
 
 	fa, err := o.beginFusedAudit(w, h, func(ro *Ops, d *image.Mat) error {
-		return ro.edgesStaged(src, d, thresh)
+		return edgesStaged(ro, src, d, p)
 	})
 	if err != nil {
 		return err

@@ -23,42 +23,25 @@ const gaussShift = 8 // fixed-point fractional bits; kernel sums to 1<<8
 // reads up to three rows above and below its own from the intermediate
 // plane, but that plane was fully written before the pass started, so the
 // halo is plain shared-read data — and the pass boundary is a barrier.
-func (o *Ops) GaussianBlur(src, dst *image.Mat) (err error) {
-	o.beginKernel("GaussianBlur")
-	defer o.endKernelP("GaussianBlur", &err)
-	if err := requireKind(src, image.U8, "GaussianBlur src"); err != nil {
-		return err
+func (o *Ops) GaussianBlur(src, dst *image.Mat) error {
+	return o.run(GaussianBlur, src, dst, Params{})
+}
+
+func gaussianBody(o *Ops, src, dst *image.Mat, _ Params) error {
+	tmp := par.GetMat(src.Width, src.Height, image.U8)
+	defer par.PutMat(tmp)
+	switch o.path() {
+	case ISANEON:
+		o.gaussHorizNEON(src, tmp)
+		o.gaussVertNEON(tmp, dst)
+	case ISASSE2:
+		o.gaussHorizSSE2(src, tmp)
+		o.gaussVertSSE2(tmp, dst)
+	default:
+		o.gaussHorizScalar(src, tmp)
+		o.gaussVertScalar(tmp, dst)
 	}
-	if err := requireKind(dst, image.U8, "GaussianBlur dst"); err != nil {
-		return err
-	}
-	if err := sameShape(src, dst); err != nil {
-		return err
-	}
-	run := func(op *Ops, d *image.Mat) error {
-		tmp := par.GetMat(src.Width, src.Height, image.U8)
-		defer par.PutMat(tmp)
-		if op.UseOptimized() {
-			switch op.isa {
-			case ISANEON:
-				op.gaussHorizNEON(src, tmp)
-				op.gaussVertNEON(tmp, d)
-				return nil
-			case ISASSE2:
-				op.gaussHorizSSE2(src, tmp)
-				op.gaussVertSSE2(tmp, d)
-				return nil
-			}
-		}
-		op.gaussHorizScalar(src, tmp)
-		op.gaussVertScalar(tmp, d)
-		return nil
-	}
-	if o.UseOptimized() {
-		return o.guardedRun("GaussianBlur", dst, 0,
-			func() error { return run(o, dst) }, run)
-	}
-	return run(o, dst)
+	return nil
 }
 
 func clampIdx(i, n int) int {

@@ -84,7 +84,7 @@ type GuardPolicy struct {
 	Seed uint64
 	// Backoff spaces SIMD retries after a detection. The zero value keeps
 	// the historical immediate retry; waits are interruptible by the
-	// context bound through the Ctx kernel variants.
+	// context bound through Kernel.Run.
 	Backoff resilience.Backoff
 }
 

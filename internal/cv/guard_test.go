@@ -37,49 +37,6 @@ func (c *corruptor) V128(site faults.Site, v vec.V128) vec.V128 {
 func (c *corruptor) V64(site faults.Site, v vec.V64) vec.V64 { return v }
 func (c *corruptor) Skew(site faults.Site, slack int) int    { return 0 }
 
-func guardKernels(t *testing.T) map[string]func(o *Ops, src, dst *image.Mat) error {
-	t.Helper()
-	return map[string]func(o *Ops, src, dst *image.Mat) error{
-		"Threshold": func(o *Ops, src, dst *image.Mat) error {
-			return o.Threshold(src, dst, 100, 255, ThreshTrunc)
-		},
-		"GaussianBlur":  (*Ops).GaussianBlur,
-		"MedianBlur3x3": (*Ops).MedianBlur3x3,
-		"DetectEdges": func(o *Ops, src, dst *image.Mat) error {
-			return o.DetectEdges(src, dst, 80)
-		},
-	}
-}
-
-// TestGuardedNoFaultIdenticalOutput: with no injector, guarded mode must
-// change no pixel relative to the plain SIMD path.
-func TestGuardedNoFaultIdenticalOutput(t *testing.T) {
-	src := image.Synthetic(image.Resolution{Width: 64, Height: 48}, 1)
-	for _, isa := range []ISA{ISANEON, ISASSE2} {
-		for name, kern := range guardKernels(t) {
-			plain := NewOps(isa, nil)
-			want := image.NewMat(64, 48, image.U8)
-			if err := kern(plain, src, want); err != nil {
-				t.Fatalf("%v/%s plain: %v", isa, name, err)
-			}
-
-			g := NewOps(isa, nil)
-			g.SetGuarded(true)
-			got := image.NewMat(64, 48, image.U8)
-			if err := kern(g, src, got); err != nil {
-				t.Fatalf("%v/%s guarded: %v", isa, name, err)
-			}
-			if !want.EqualTo(got) {
-				t.Errorf("%v/%s: guarded output differs in %d pixels",
-					isa, name, want.DiffCount(got, 0))
-			}
-			if n := len(g.Faults()); n != 0 {
-				t.Errorf("%v/%s: %d spurious fault records: %v", isa, name, n, g.Faults())
-			}
-		}
-	}
-}
-
 // TestGuardDetectsAndFallsBack: a persistent lane corruption must be
 // detected, survive the retry, and end in a scalar fallback whose output
 // equals the scalar reference.

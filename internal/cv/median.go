@@ -14,37 +14,20 @@ import (
 // same network one pixel at a time — and gcc cannot auto-vectorize it
 // because each pixel's network is a different data-dependent permutation
 // in source form.
-func (o *Ops) MedianBlur3x3(src, dst *image.Mat) (err error) {
-	o.beginKernel("MedianBlur3x3")
-	defer o.endKernelP("MedianBlur3x3", &err)
-	if err := requireKind(src, image.U8, "MedianBlur3x3 src"); err != nil {
-		return err
+func (o *Ops) MedianBlur3x3(src, dst *image.Mat) error {
+	return o.run(MedianBlur3x3, src, dst, Params{})
+}
+
+func medianBody(o *Ops, src, dst *image.Mat, _ Params) error {
+	switch o.path() {
+	case ISANEON:
+		o.medianNEON(src, dst)
+	case ISASSE2:
+		o.medianSSE2(src, dst)
+	default:
+		o.medianScalar(src, dst)
 	}
-	if err := requireKind(dst, image.U8, "MedianBlur3x3 dst"); err != nil {
-		return err
-	}
-	if err := sameShape(src, dst); err != nil {
-		return err
-	}
-	run := func(op *Ops, d *image.Mat) error {
-		if op.UseOptimized() {
-			switch op.isa {
-			case ISANEON:
-				op.medianNEON(src, d)
-				return nil
-			case ISASSE2:
-				op.medianSSE2(src, d)
-				return nil
-			}
-		}
-		op.medianScalar(src, d)
-		return nil
-	}
-	if o.UseOptimized() {
-		return o.guardedRun("MedianBlur3x3", dst, 0,
-			func() error { return run(o, dst) }, run)
-	}
-	return run(o, dst)
+	return nil
 }
 
 // median9 runs the canonical 19-comparator median-of-9 exchange network

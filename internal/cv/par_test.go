@@ -30,65 +30,30 @@ func synthS16(res image.Resolution, seed uint64) *image.Mat {
 	return m
 }
 
-func parCases() []parCase {
-	return []parCase{
-		{"convert", func(o *Ops, res image.Resolution) (*image.Mat, error) {
-			src := image.SyntheticF32(res, 3)
-			dst := image.NewMat(res.Width, res.Height, image.S16)
-			return dst, o.ConvertF32ToS16(src, dst)
-		}},
-		{"threshold", func(o *Ops, res image.Resolution) (*image.Mat, error) {
-			src := image.Synthetic(res, 4)
-			dst := image.NewMat(res.Width, res.Height, image.U8)
-			return dst, o.Threshold(src, dst, 97, 255, ThreshBinary)
-		}},
-		{"gaussian", func(o *Ops, res image.Resolution) (*image.Mat, error) {
-			src := image.Synthetic(res, 5)
-			dst := image.NewMat(res.Width, res.Height, image.U8)
-			return dst, o.GaussianBlur(src, dst)
-		}},
-		{"sobelH", func(o *Ops, res image.Resolution) (*image.Mat, error) {
-			src := image.Synthetic(res, 6)
-			dst := image.NewMat(res.Width, res.Height, image.S16)
-			return dst, o.SobelFilter(src, dst, 1, 0)
-		}},
-		{"sobelV", func(o *Ops, res image.Resolution) (*image.Mat, error) {
-			src := image.Synthetic(res, 7)
-			dst := image.NewMat(res.Width, res.Height, image.S16)
-			return dst, o.SobelFilter(src, dst, 0, 1)
-		}},
-		{"edges", func(o *Ops, res image.Resolution) (*image.Mat, error) {
-			src := image.Synthetic(res, 8)
-			dst := image.NewMat(res.Width, res.Height, image.U8)
-			return dst, o.DetectEdges(src, dst, 60)
-		}},
-		{"median", func(o *Ops, res image.Resolution) (*image.Mat, error) {
-			src := image.Synthetic(res, 9)
-			dst := image.NewMat(res.Width, res.Height, image.U8)
-			return dst, o.MedianBlur3x3(src, dst)
-		}},
-		{"resize", func(o *Ops, res image.Resolution) (*image.Mat, error) {
-			src := image.Synthetic(res, 10)
-			dst := image.NewMat(res.Width/2, res.Height/2, image.U8)
-			return dst, o.ResizeHalf(src, dst)
-		}},
-		{"rgb2gray", func(o *Ops, res image.Resolution) (*image.Mat, error) {
+// parCases covers every descriptor call plus the two hand-written entry
+// points whose sources are not a single Mat.
+func parCases(t testing.TB) []parCase {
+	var cases []parCase
+	for i, c := range conformanceCalls(t) {
+		c, seed := c, uint64(3+i)
+		cases = append(cases, parCase{c.String(), func(o *Ops, res image.Resolution) (*image.Mat, error) {
+			dst := newDst(c, res)
+			return dst, c.Run(context.Background(), o, c.Kernel.Input(res, seed), dst)
+		}})
+	}
+	return append(cases,
+		parCase{"rgb2gray", func(o *Ops, res image.Resolution) (*image.Mat, error) {
 			src := image.SyntheticRGB(res, 11)
 			dst := image.NewMat(res.Width, res.Height, image.U8)
 			return dst, o.RGBToGray(src, dst)
 		}},
-		{"canny", func(o *Ops, res image.Resolution) (*image.Mat, error) {
-			src := image.Synthetic(res, 12)
-			dst := image.NewMat(res.Width, res.Height, image.U8)
-			return dst, o.Canny(src, dst, 20, 60)
-		}},
-		{"gradmag", func(o *Ops, res image.Resolution) (*image.Mat, error) {
+		parCase{"gradmag", func(o *Ops, res image.Resolution) (*image.Mat, error) {
 			gx := synthS16(res, 13)
 			gy := synthS16(res, 14)
 			dst := image.NewMat(res.Width, res.Height, image.S16)
 			return dst, o.GradientMagnitude(gx, gy, dst)
 		}},
-	}
+	)
 }
 
 // parResolutions: odd dimensions exercise SIMD tails; the tall one spans
@@ -108,7 +73,7 @@ var parResolutions = []image.Resolution{
 func TestParallelBitExactAndCountIdentical(t *testing.T) {
 	for _, isa := range []ISA{ISANEON, ISASSE2} {
 		for _, res := range parResolutions {
-			for _, tc := range parCases() {
+			for _, tc := range parCases(t) {
 				baseTr := &trace.Counter{}
 				base := NewOps(isa, baseTr)
 				want, err := tc.run(base, res)
@@ -153,7 +118,7 @@ func TestParallelBitExactAndCountIdentical(t *testing.T) {
 // paths (useOptimized off), which the guard referee depends on.
 func TestParallelScalarISA(t *testing.T) {
 	res := image.Resolution{Width: 53, Height: 37, Name: "53x37"}
-	for _, tc := range parCases() {
+	for _, tc := range parCases(t) {
 		base := NewOps(ISANEON, nil)
 		base.SetUseOptimized(false)
 		want, err := tc.run(base, res)
@@ -224,7 +189,7 @@ func TestParallelCancellationStopsSiblings(t *testing.T) {
 	ctx := &countdownCtx{Context: context.Background()}
 	ctx.left.Store(30) // entry check + ~30 row polls across the bands
 
-	err := o.GaussianBlurCtx(ctx, src, dst)
+	err := GaussianBlur.Run(ctx, o, src, dst, Params{})
 	var de *resilience.DeadlineError
 	if !errors.As(err, &de) {
 		t.Fatalf("err = %v, want *resilience.DeadlineError", err)

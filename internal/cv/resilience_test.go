@@ -191,7 +191,7 @@ func TestCtxCancelMidKernel(t *testing.T) {
 		o := NewOps(isa, nil)
 		dst := image.NewMat(64, 48, image.U8)
 		ctx := &stepCtx{Context: context.Background(), left: 11}
-		err := o.GaussianBlurCtx(ctx, src, dst)
+		err := GaussianBlur.Run(ctx, o, src, dst, Params{})
 		var de *resilience.DeadlineError
 		if !errors.As(err, &de) {
 			t.Fatalf("%v: err = %v, want *resilience.DeadlineError", isa, err)
@@ -207,7 +207,7 @@ func TestCtxCancelMidKernel(t *testing.T) {
 		}
 
 		// The unwind must leave the Ops clean for the next call.
-		if err := o.GaussianBlurCtx(context.Background(), src, dst); err != nil {
+		if err := GaussianBlur.Run(context.Background(), o, src, dst, Params{}); err != nil {
 			t.Fatalf("%v: Ops unusable after cancellation: %v", isa, err)
 		}
 	}
@@ -220,7 +220,7 @@ func TestCtxCancelNestedKernel(t *testing.T) {
 	o := NewOps(ISASSE2, nil)
 	dst := image.NewMat(64, 48, image.U8)
 	ctx := &stepCtx{Context: context.Background(), left: 3 * 48} // into the second Sobel
-	err := o.DetectEdgesCtx(ctx, src, dst, 80)
+	err := DetectEdges.Run(ctx, o, src, dst, Params{80})
 	var de *resilience.DeadlineError
 	if !errors.As(err, &de) {
 		t.Fatalf("err = %v, want *resilience.DeadlineError", err)
@@ -241,7 +241,7 @@ func TestCtxAlreadyExpired(t *testing.T) {
 	dst := image.NewMat(64, 48, image.U8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := o.ThresholdCtx(ctx, src, dst, 100, 255, ThreshTrunc)
+	err := Threshold.Run(ctx, o, src, dst, Params{100, 255, int(ThreshTrunc)})
 	var de *resilience.DeadlineError
 	if !errors.As(err, &de) || de.Completed != 0 {
 		t.Fatalf("err = %v, want zero-progress DeadlineError", err)
@@ -267,7 +267,7 @@ func TestCancelledProbeIsReleased(t *testing.T) {
 
 	// This probe is admitted, then cancelled mid-run: no verdict.
 	ctx := &stepCtx{Context: context.Background(), left: 11}
-	if err := g.GaussianBlurCtx(ctx, src, dst); !errors.Is(err, context.Canceled) {
+	if err := GaussianBlur.Run(ctx, g, src, dst, Params{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want cancellation", err)
 	}
 	if st := set.State("GaussianBlur", "neon"); st != resilience.StateHalfOpen {
@@ -297,7 +297,7 @@ func TestGuardBackoffHonorsContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- g.ThresholdCtx(ctx, src, dst, 100, 255, ThreshTrunc) }()
+	go func() { done <- Threshold.Run(ctx, g, src, dst, Params{100, 255, int(ThreshTrunc)}) }()
 	time.Sleep(20 * time.Millisecond) // reach the hour-long backoff sleep
 	cancel()
 	select {

@@ -1,8 +1,6 @@
 package cv
 
 import (
-	"fmt"
-
 	"simdstudy/internal/image"
 	"simdstudy/internal/trace"
 	"simdstudy/internal/vec"
@@ -20,41 +18,20 @@ import (
 // shift-narrow. Each output row reads exactly two source rows that no
 // other output row touches, so the kernel bands over destination rows
 // with no halo at all.
-func (o *Ops) ResizeHalf(src, dst *image.Mat) (err error) {
-	o.beginKernel("ResizeHalf")
-	defer o.endKernelP("ResizeHalf", &err)
-	if err := requireKind(src, image.U8, "ResizeHalf src"); err != nil {
-		return err
+func (o *Ops) ResizeHalf(src, dst *image.Mat) error {
+	return o.run(ResizeHalf, src, dst, Params{})
+}
+
+func resizeBody(o *Ops, src, dst *image.Mat, _ Params) error {
+	switch o.path() {
+	case ISANEON:
+		o.resizeHalfNEON(src, dst)
+	case ISASSE2:
+		o.resizeHalfSSE2(src, dst)
+	default:
+		o.resizeHalfScalar(src, dst)
 	}
-	if err := requireKind(dst, image.U8, "ResizeHalf dst"); err != nil {
-		return err
-	}
-	if dst.Width != src.Width/2 || dst.Height != src.Height/2 {
-		return fmt.Errorf("cv: ResizeHalf dst must be %dx%d, got %dx%d",
-			src.Width/2, src.Height/2, dst.Width, dst.Height)
-	}
-	if dst.Width == 0 || dst.Height == 0 {
-		return fmt.Errorf("cv: ResizeHalf source %dx%d too small", src.Width, src.Height)
-	}
-	run := func(op *Ops, d *image.Mat) error {
-		if op.UseOptimized() {
-			switch op.isa {
-			case ISANEON:
-				op.resizeHalfNEON(src, d)
-				return nil
-			case ISASSE2:
-				op.resizeHalfSSE2(src, d)
-				return nil
-			}
-		}
-		op.resizeHalfScalar(src, d)
-		return nil
-	}
-	if o.UseOptimized() {
-		return o.guardedRun("ResizeHalf", dst, 0,
-			func() error { return run(o, dst) }, run)
-	}
-	return run(o, dst)
+	return nil
 }
 
 func resizePixel(pix []uint8, w, x, y int) uint8 {

@@ -17,62 +17,48 @@ import (
 // Each pass is row-banded when parallelism is configured: the vertical
 // passes read one halo row above and below from the intermediate plane,
 // which is read-only by then, and the pass boundary is a barrier.
-func (o *Ops) SobelFilter(src, dst *image.Mat, dx, dy int) (err error) {
-	o.beginKernel("SobelFilter")
-	defer o.endKernelP("SobelFilter", &err)
-	if err := requireKind(src, image.U8, "SobelFilter src"); err != nil {
-		return err
+func (o *Ops) SobelFilter(src, dst *image.Mat, dx, dy int) error {
+	return o.run(SobelFilter, src, dst, Params{dx, dy})
+}
+
+func sobelCheck(p Params) error {
+	if p[0]+p[1] != 1 {
+		return fmt.Errorf("cv: SobelFilter supports (dx,dy) of (1,0) or (0,1), got (%d,%d)", p[0], p[1])
 	}
-	if err := requireKind(dst, image.S16, "SobelFilter dst"); err != nil {
-		return err
-	}
-	if err := sameShape(src, dst); err != nil {
-		return err
-	}
-	switch {
-	case dx == 1 && dy == 0, dx == 0 && dy == 1:
-	default:
-		return fmt.Errorf("cv: SobelFilter supports (dx,dy) of (1,0) or (0,1), got (%d,%d)", dx, dy)
-	}
-	run := func(op *Ops, d *image.Mat) error {
-		tmp := par.GetMat(src.Width, src.Height, image.S16)
-		defer par.PutMat(tmp)
-		if op.UseOptimized() {
-			switch op.isa {
-			case ISANEON:
-				if dx == 1 {
-					op.sobelDiffHNEON(src, tmp)
-					op.sobelSmoothVNEON(tmp, d)
-				} else {
-					op.sobelSmoothHNEON(src, tmp)
-					op.sobelDiffVNEON(tmp, d)
-				}
-				return nil
-			case ISASSE2:
-				if dx == 1 {
-					op.sobelDiffHSSE2(src, tmp)
-					op.sobelSmoothVSSE2(tmp, d)
-				} else {
-					op.sobelSmoothHSSE2(src, tmp)
-					op.sobelDiffVSSE2(tmp, d)
-				}
-				return nil
-			}
-		}
-		if dx == 1 {
-			op.sobelDiffHScalar(src, tmp)
-			op.sobelSmoothVScalar(tmp, d)
+	return nil
+}
+
+func sobelBody(o *Ops, src, dst *image.Mat, p Params) error {
+	tmp := par.GetMat(src.Width, src.Height, image.S16)
+	defer par.PutMat(tmp)
+	dx := p[0] == 1
+	switch o.path() {
+	case ISANEON:
+		if dx {
+			o.sobelDiffHNEON(src, tmp)
+			o.sobelSmoothVNEON(tmp, dst)
 		} else {
-			op.sobelSmoothHScalar(src, tmp)
-			op.sobelDiffVScalar(tmp, d)
+			o.sobelSmoothHNEON(src, tmp)
+			o.sobelDiffVNEON(tmp, dst)
 		}
-		return nil
+	case ISASSE2:
+		if dx {
+			o.sobelDiffHSSE2(src, tmp)
+			o.sobelSmoothVSSE2(tmp, dst)
+		} else {
+			o.sobelSmoothHSSE2(src, tmp)
+			o.sobelDiffVSSE2(tmp, dst)
+		}
+	default:
+		if dx {
+			o.sobelDiffHScalar(src, tmp)
+			o.sobelSmoothVScalar(tmp, dst)
+		} else {
+			o.sobelSmoothHScalar(src, tmp)
+			o.sobelDiffVScalar(tmp, dst)
+		}
 	}
-	if o.UseOptimized() {
-		return o.guardedRun("SobelFilter", dst, 0,
-			func() error { return run(o, dst) }, run)
-	}
-	return run(o, dst)
+	return nil
 }
 
 // --- Scalar reference pieces. SIMD paths call these for borders so all

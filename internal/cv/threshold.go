@@ -41,40 +41,21 @@ func (t ThreshType) String() string {
 
 // Threshold applies an element-wise threshold to a U8 image, the paper's
 // benchmark 2 (cv::threshold on 8-bit images).
-func (o *Ops) Threshold(src, dst *image.Mat, thresh, maxval uint8, typ ThreshType) (err error) {
-	o.beginKernel("Threshold")
-	defer o.endKernelP("Threshold", &err)
-	if err := requireKind(src, image.U8, "Threshold src"); err != nil {
-		return err
+func (o *Ops) Threshold(src, dst *image.Mat, thresh, maxval uint8, typ ThreshType) error {
+	return o.run(Threshold, src, dst, Params{int(thresh), int(maxval), int(typ)})
+}
+
+func thresholdBody(o *Ops, src, dst *image.Mat, p Params) error {
+	thresh, maxval, typ := uint8(p[0]), uint8(p[1]), ThreshType(p[2])
+	switch o.path() {
+	case ISANEON:
+		o.thresholdNEON(src, dst, thresh, maxval, typ)
+	case ISASSE2:
+		o.thresholdSSE2(src, dst, thresh, maxval, typ)
+	default:
+		o.thresholdScalar(src, dst, thresh, maxval, typ)
 	}
-	if err := requireKind(dst, image.U8, "Threshold dst"); err != nil {
-		return err
-	}
-	if err := sameShape(src, dst); err != nil {
-		return err
-	}
-	if typ < ThreshBinary || typ > ThreshToZeroInv {
-		return fmt.Errorf("cv: unknown threshold type %d", int(typ))
-	}
-	run := func(op *Ops, d *image.Mat) error {
-		if op.UseOptimized() {
-			switch op.isa {
-			case ISANEON:
-				op.thresholdNEON(src, d, thresh, maxval, typ)
-				return nil
-			case ISASSE2:
-				op.thresholdSSE2(src, d, thresh, maxval, typ)
-				return nil
-			}
-		}
-		op.thresholdScalar(src, d, thresh, maxval, typ)
-		return nil
-	}
-	if o.UseOptimized() {
-		return o.guardedRun("Threshold", dst, 0,
-			func() error { return run(o, dst) }, run)
-	}
-	return run(o, dst)
+	return nil
 }
 
 func thresholdPixel(v, thresh, maxval uint8, typ ThreshType) uint8 {

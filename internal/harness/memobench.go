@@ -40,18 +40,19 @@ func RunMemoBench(bench string, res image.Resolution) (MemoBenchResult, error) {
 	if err := validateResolution(res); err != nil {
 		return r, err
 	}
-	spec, err := benchSpecFor(bench)
+	c, err := benchCall(bench)
 	if err != nil {
 		return r, err
 	}
-	src := spec.burst(res, 1)[0]
+	src := c.Kernel.Input(res, 1)
 	o := cv.NewOps(cv.ISANEON, nil)
 
-	computed := image.NewMat(res.Width, res.Height, spec.dstKind)
+	ctx := context.Background()
+	computed := newDst(c, res)
 	const coldRuns = 3
 	for i := 0; i < coldRuns; i++ {
 		start := time.Now()
-		if err := spec.run(o, src, computed); err != nil {
+		if err := c.Run(ctx, o, src, computed); err != nil {
 			return r, fmt.Errorf("harness: memo bench %s compute: %w", bench, err)
 		}
 		if sec := time.Since(start).Seconds(); i == 0 || sec < r.ColdSeconds {
@@ -62,21 +63,17 @@ func RunMemoBench(bench string, res image.Resolution) (MemoBenchResult, error) {
 	// One shard: the cache holds a single entry, and a sharded budget split
 	// could otherwise leave every shard too small for one large plane.
 	cache := memo.New(memo.Config{MaxBytes: 256 << 20, Shards: 1})
-	key := memo.KeyFor(bench, cv.ISANEON.String(), spec.sig+","+cv.FuseConfig{}.Signature(), src)
-	ctx := context.Background()
-	dst := image.NewMat(res.Width, res.Height, spec.dstKind)
-	if _, err := cache.Do(ctx, key, dst, func(context.Context) error {
-		return spec.run(o, src, dst)
-	}); err != nil {
+	key := c.MemoKey(cv.ISANEON, cv.FuseConfig{}, src)
+	dst := newDst(c, res)
+	compute := func(ctx context.Context) error { return c.Run(ctx, o, src, dst) }
+	if _, err := cache.Do(ctx, key, dst, compute); err != nil {
 		return r, fmt.Errorf("harness: memo bench %s populate: %w", bench, err)
 	}
 
 	const hitRuns = 10
 	for i := 0; i < hitRuns; i++ {
 		start := time.Now()
-		outcome, err := cache.Do(ctx, key, dst, func(context.Context) error {
-			return spec.run(o, src, dst)
-		})
+		outcome, err := cache.Do(ctx, key, dst, compute)
 		if err != nil {
 			return r, fmt.Errorf("harness: memo bench %s hit: %w", bench, err)
 		}

@@ -39,93 +39,30 @@ func validateResolution(res image.Resolution) error {
 	return nil
 }
 
-// benchSpec describes how to execute one benchmark's kernel directly: the
-// source/destination pixel kinds, the per-ISA comparison tolerance, the
-// fixed-parameter signature the memoization key folds in, and the entry
-// point. Verify and RunFaultCampaign share it so both exercise the exact
-// same code paths.
-type benchSpec struct {
-	f32Src  bool
-	dstKind image.Type
-	sig     string // parameters baked into run; part of the memo content key
-	tol     func(isa cv.ISA) int
-	run     func(o *cv.Ops, src, dst *image.Mat) error
+// benchCall returns the kernel call a paper benchmark measures. Verify,
+// RunFaultCampaign and RunMemoBench share it, so all three exercise the
+// exact same code paths.
+func benchCall(bench string) (cv.Call, error) {
+	c, ok := cv.Benchmark(bench)
+	if !ok {
+		return cv.Call{}, fmt.Errorf("harness: unknown benchmark %q", bench)
+	}
+	return c, nil
 }
 
-func exactTol(cv.ISA) int { return 0 }
-
-func benchSpecFor(bench string) (benchSpec, error) {
-	switch bench {
-	case "ConvertFloatShort":
-		return benchSpec{
-			f32Src:  true,
-			dstKind: image.S16,
-			sig:     "f32s16",
-			// vcvt truncates where the ARM scalar referee rounds: 1 LSB.
-			tol: func(isa cv.ISA) int {
-				if isa == cv.ISANEON {
-					return 1
-				}
-				return 0
-			},
-			run: func(o *cv.Ops, src, dst *image.Mat) error {
-				return o.ConvertF32ToS16(src, dst)
-			},
-		}, nil
-	case "BinThr":
-		return benchSpec{
-			dstKind: image.U8,
-			sig:     "t128m255trunc",
-			tol:     exactTol,
-			run: func(o *cv.Ops, src, dst *image.Mat) error {
-				return o.Threshold(src, dst, 128, 255, cv.ThreshTrunc)
-			},
-		}, nil
-	case "GauBlu":
-		return benchSpec{
-			dstKind: image.U8,
-			sig:     "g5x5",
-			tol:     exactTol,
-			run: func(o *cv.Ops, src, dst *image.Mat) error {
-				return o.GaussianBlur(src, dst)
-			},
-		}, nil
-	case "SobFil":
-		return benchSpec{
-			dstKind: image.S16,
-			sig:     "dx1dy0",
-			tol:     exactTol,
-			run: func(o *cv.Ops, src, dst *image.Mat) error {
-				return o.SobelFilter(src, dst, 1, 0)
-			},
-		}, nil
-	case "EdgDet":
-		return benchSpec{
-			dstKind: image.U8,
-			sig:     "t100",
-			tol:     exactTol,
-			run: func(o *cv.Ops, src, dst *image.Mat) error {
-				return o.DetectEdges(src, dst, 100)
-			},
-		}, nil
-	case "Canny":
-		return benchSpec{
-			dstKind: image.U8,
-			sig:     "lo60hi200",
-			tol:     exactTol,
-			run: func(o *cv.Ops, src, dst *image.Mat) error {
-				return o.Canny(src, dst, 60, 200)
-			},
-		}, nil
+// inputs synthesizes the benchmark's n-image input burst.
+func inputs(c cv.Call, res image.Resolution, n int) []*image.Mat {
+	out := make([]*image.Mat, n)
+	for i := range out {
+		out[i] = c.Kernel.Input(res, uint64(i+1))
 	}
-	return benchSpec{}, fmt.Errorf("harness: unknown benchmark %q", bench)
+	return out
 }
 
-func (s benchSpec) burst(res image.Resolution, n int) []*image.Mat {
-	if s.f32Src {
-		return image.BurstF32(res, n)
-	}
-	return image.Burst(res, n)
+// newDst allocates the benchmark's destination plane for a res source.
+func newDst(c cv.Call, res image.Resolution) *image.Mat {
+	w, h := c.Kernel.DstDims(res.Width, res.Height)
+	return image.NewMat(w, h, c.Kernel.Dst)
 }
 
 // GridOptions tunes RunGridCtx.
@@ -378,12 +315,12 @@ func VerifyCtx(ctx context.Context, bench string, res image.Resolution) (int, er
 	if err := validateResolution(res); err != nil {
 		return 0, err
 	}
-	spec, err := benchSpecFor(bench)
+	c, err := benchCall(bench)
 	if err != nil {
 		return 0, err
 	}
 	const burst = 5
-	for i, src := range spec.burst(res, burst) {
+	for i, src := range inputs(c, res, burst) {
 		if err := ctx.Err(); err != nil {
 			return 0, &resilience.DeadlineError{
 				Op: "harness.verify." + bench, Cause: err,
@@ -393,15 +330,15 @@ func VerifyCtx(ctx context.Context, bench string, res image.Resolution) (int, er
 		for _, isa := range []cv.ISA{cv.ISANEON, cv.ISASSE2} {
 			ref := cv.NewOps(isa, nil)
 			ref.SetUseOptimized(false)
-			want := image.NewMat(res.Width, res.Height, spec.dstKind)
-			if err := spec.run(ref, src, want); err != nil {
+			want := newDst(c, res)
+			if err := c.Run(ctx, ref, src, want); err != nil {
 				return 0, err
 			}
-			got := image.NewMat(res.Width, res.Height, spec.dstKind)
-			if err := spec.run(cv.NewOps(isa, nil), src, got); err != nil {
+			got := newDst(c, res)
+			if err := c.Run(ctx, cv.NewOps(isa, nil), src, got); err != nil {
 				return 0, err
 			}
-			if d := want.DiffCount(got, spec.tol(isa)); d != 0 {
+			if d := want.DiffCount(got, c.Kernel.Tol(isa)); d != 0 {
 				return 0, fmt.Errorf("harness: %s: %v output differs from scalar beyond tolerance in %d pixels",
 					bench, isa, d)
 			}
@@ -531,7 +468,7 @@ func RunFaultCampaign(ctx context.Context, bench string, res image.Resolution, c
 			return nil, errors.New("harness: memoization is incompatible with checkpointed resume (CheckpointPath must be empty)")
 		}
 	}
-	spec, err := benchSpecFor(bench)
+	c, err := benchCall(bench)
 	if err != nil {
 		return nil, err
 	}
@@ -621,7 +558,7 @@ func RunFaultCampaign(ctx context.Context, bench string, res image.Resolution, c
 			prevAudits, prevCaught = aud.Sampled(), aud.Mismatches()
 			ir.Audits, ir.AuditCaught = prevAudits, prevCaught
 		}
-		images := spec.burst(res, burst)
+		images := inputs(c, res, burst)
 		for imgIdx := len(done); imgIdx < burst; imgIdx++ {
 			src := images[imgIdx]
 			if err := ctx.Err(); err != nil {
@@ -634,13 +571,12 @@ func RunFaultCampaign(ctx context.Context, bench string, res image.Resolution, c
 			imgSpan := isaSpan.Child("cell."+bench, lISA, obs.L("size", res.Name))
 			imgSpan.SetAttr("image", imgIdx)
 			o.SetSpanParent(imgSpan)
-			dst := image.NewMat(res.Width, res.Height, spec.dstKind)
-			runImage := func() error { return spec.run(o, src, dst) }
+			dst := newDst(c, res)
+			runImage := func() error { return c.Run(ctx, o, src, dst) }
 			if cfg.Memo != nil {
 				runImage = func() error {
-					key := memo.KeyFor(bench, isa.String(), spec.sig+","+cfg.Fuse.Signature(), src)
-					outcome, err := cfg.Memo.Do(ctx, key, dst, func(context.Context) error {
-						return spec.run(o, src, dst)
+					outcome, err := cfg.Memo.Do(ctx, c.MemoKey(isa, cfg.Fuse, src), dst, func(ctx context.Context) error {
+						return c.Run(ctx, o, src, dst)
 					})
 					if err != nil {
 						return err

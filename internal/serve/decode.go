@@ -5,7 +5,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"net/url"
@@ -32,7 +31,7 @@ type Limits struct {
 
 // Request is one decoded kernel-dispatch request.
 type Request struct {
-	Kernel   string // canonical kernel name, e.g. "GaussianBlur"
+	Kernel   string // request kernel name, e.g. "gaussian" (see KernelNames)
 	ISA      cv.ISA
 	Width    int
 	Height   int
@@ -40,85 +39,17 @@ type Request struct {
 	Deadline time.Duration
 }
 
-// kernelSpec wires a request kernel name to the pipeline: source and
-// destination plane types, destination geometry, the fixed-parameter
-// signature the memoization key folds in, and the context-aware entry
-// point.
-type kernelSpec struct {
-	name    string // canonical name; must match the cv beginKernel name
-	srcKind image.Type
-	dstKind image.Type
-	halfDst bool // destination is w/2 x h/2 (ResizeHalf)
-	// sig names the parameters baked into run below. It participates in
-	// the memo content key, so if a threshold here ever changes, old
-	// cached results become unreachable instead of wrong.
-	sig string
-	run func(ctx context.Context, o *cv.Ops, src, dst *image.Mat) error
-}
-
-// dstDims returns the destination geometry for a w x h source.
-func (k kernelSpec) dstDims(w, h int) (int, int) {
-	if k.halfDst {
-		return w / 2, h / 2
-	}
-	return w, h
-}
-
-// dst allocates the destination plane, rejecting degenerate geometry.
-func (k kernelSpec) dst(w, h int) (*image.Mat, error) {
-	dw, dh := k.dstDims(w, h)
-	return image.TryNewMat(dw, dh, k.dstKind)
-}
-
-var kernels = map[string]kernelSpec{
-	"gaussian": {
-		name: "GaussianBlur", srcKind: image.U8, dstKind: image.U8, sig: "g5x5",
-		run: func(ctx context.Context, o *cv.Ops, src, dst *image.Mat) error {
-			return o.GaussianBlurCtx(ctx, src, dst)
-		},
-	},
-	"sobel": {
-		name: "SobelFilter", srcKind: image.U8, dstKind: image.S16, sig: "dx1dy0",
-		run: func(ctx context.Context, o *cv.Ops, src, dst *image.Mat) error {
-			return o.SobelFilterCtx(ctx, src, dst, 1, 0)
-		},
-	},
-	"edges": {
-		name: "DetectEdges", srcKind: image.U8, dstKind: image.U8, sig: "t128",
-		run: func(ctx context.Context, o *cv.Ops, src, dst *image.Mat) error {
-			return o.DetectEdgesCtx(ctx, src, dst, 128)
-		},
-	},
-	"canny": {
-		name: "Canny", srcKind: image.U8, dstKind: image.U8, sig: "lo60hi200",
-		run: func(ctx context.Context, o *cv.Ops, src, dst *image.Mat) error {
-			return o.CannyCtx(ctx, src, dst, 60, 200)
-		},
-	},
-	"median": {
-		name: "MedianBlur3x3", srcKind: image.U8, dstKind: image.U8, sig: "3x3",
-		run: func(ctx context.Context, o *cv.Ops, src, dst *image.Mat) error {
-			return o.MedianBlur3x3Ctx(ctx, src, dst)
-		},
-	},
-	"resize": {
-		name: "ResizeHalf", srcKind: image.U8, dstKind: image.U8, halfDst: true, sig: "half",
-		run: func(ctx context.Context, o *cv.Ops, src, dst *image.Mat) error {
-			return o.ResizeHalfCtx(ctx, src, dst)
-		},
-	},
-	"threshold": {
-		name: "Threshold", srcKind: image.U8, dstKind: image.U8, sig: "t128m255bin",
-		run: func(ctx context.Context, o *cv.Ops, src, dst *image.Mat) error {
-			return o.ThresholdCtx(ctx, src, dst, 128, 255, cv.ThreshBinary)
-		},
-	},
-	"convert": {
-		name: "ConvertF32ToS16", srcKind: image.F32, dstKind: image.S16, sig: "f32s16",
-		run: func(ctx context.Context, o *cv.Ops, src, dst *image.Mat) error {
-			return o.ConvertF32ToS16Ctx(ctx, src, dst)
-		},
-	},
+// kernels binds each request kernel name to a kernel descriptor and the
+// fixed parameter values the server runs it with.
+var kernels = map[string]cv.Call{
+	"gaussian":  {Kernel: cv.GaussianBlur},
+	"sobel":     {Kernel: cv.SobelFilter, Params: cv.Params{1, 0}},
+	"edges":     {Kernel: cv.DetectEdges, Params: cv.Params{128}},
+	"canny":     {Kernel: cv.Canny, Params: cv.Params{60, 200}},
+	"median":    {Kernel: cv.MedianBlur3x3},
+	"resize":    {Kernel: cv.ResizeHalf},
+	"threshold": {Kernel: cv.Threshold, Params: cv.Params{128, 255, int(cv.ThreshBinary)}},
+	"convert":   {Kernel: cv.ConvertF32ToS16},
 }
 
 // KernelNames returns the request kernel names the decoder accepts,
@@ -130,6 +61,25 @@ func KernelNames() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// MemoKernels resolves a memoization enable list — request names
+// ("gaussian") or kernel names ("GaussianBlur") — to the kernel names the
+// result cache keys on. A name that matches no kernel would match no
+// request either and silently leave the cache unused, so it is an error;
+// the returned list keeps it verbatim.
+func MemoKernels(names []string) ([]string, error) {
+	out := make([]string, len(names))
+	var err error
+	for i, name := range names {
+		out[i] = name
+		if c, ok := kernels[name]; ok {
+			out[i] = c.Kernel.Name
+		} else if cv.KernelByName(name) == nil && err == nil {
+			err = fmt.Errorf("unknown kernel %q (want one of %v)", name, KernelNames())
+		}
+	}
+	return out, err
 }
 
 func parseISA(s string) (cv.ISA, error) {

@@ -1,14 +1,21 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"simdstudy/internal/cv"
+	"simdstudy/internal/harness"
+	"simdstudy/internal/image"
 	"simdstudy/internal/memo"
 )
 
@@ -238,5 +245,65 @@ func TestMemoStreamFrame(t *testing.T) {
 	defer off.Close()
 	if f := off.buildFrame(time.Minute); f.Memo != nil {
 		t.Fatal("memo-less frame carries a memo block")
+	}
+}
+
+// TestMemoKernelsLookup: enable-list entries resolve through the binding
+// table, request names and kernel names alike, and an unknown name is an
+// error that lists the valid ones instead of a silently idle cache.
+func TestMemoKernelsLookup(t *testing.T) {
+	got, err := MemoKernels([]string{"gaussian", "Canny", "resize"})
+	if err != nil || !reflect.DeepEqual(got, []string{"GaussianBlur", "Canny", "ResizeHalf"}) {
+		t.Fatalf("MemoKernels = %v, %v; want [GaussianBlur Canny ResizeHalf]", got, err)
+	}
+	got, err = MemoKernels([]string{"gaussian", "gausian"})
+	if err == nil || !strings.Contains(err.Error(), `"gausian"`) ||
+		!strings.Contains(err.Error(), fmt.Sprint(KernelNames())) {
+		t.Fatalf("typo err = %v; want one naming the typo and the valid names", err)
+	}
+	if !reflect.DeepEqual(got, []string{"GaussianBlur", "gausian"}) {
+		t.Fatalf("typo list = %v; want the unknown name kept verbatim", got)
+	}
+}
+
+// TestMemoKeysSharedWithHarness: the server and the fault-campaign harness
+// key results through the same descriptor encoding. A campaign run into
+// the server's cache makes the HTTP request for the same kernel,
+// parameters, fusion and input a hit; a request whose bound parameters
+// differ from the benchmark's misses.
+func TestMemoKeysSharedWithHarness(t *testing.T) {
+	res := image.Resolution{Width: 64, Height: 48}
+	benches := []string{"ConvertFloatShort", "BinThr", "GauBlu", "SobFil", "EdgDet", "Canny"}
+	for _, fused := range []bool{false, true} {
+		fuse := cv.FuseConfig{Enabled: fused}
+		s := NewServer(Config{Memo: memo.Config{MaxBytes: 64 << 20}, Fuse: fuse})
+		t.Cleanup(s.Close)
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		shared := map[cv.Call]bool{}
+		for _, bench := range benches {
+			cfg := harness.CampaignConfig{Burst: 1, Memo: s.Memo(), Fuse: fuse}
+			if _, err := harness.RunFaultCampaign(context.Background(), bench, res, cfg); err != nil {
+				t.Fatalf("campaign %s: %v", bench, err)
+			}
+			c, _ := cv.Benchmark(bench)
+			shared[c] = true
+		}
+		hits := 0
+		for name, c := range kernels {
+			want := "miss"
+			if shared[c] {
+				want = "hit"
+				hits++
+			}
+			url := fmt.Sprintf("%s/process?kernel=%s&width=%d&height=%d&isa=neon&seed=1",
+				ts.URL, name, res.Width, res.Height)
+			if outcome, _ := getMemo(t, url); outcome != want {
+				t.Errorf("fuse=%v %s: X-Memo = %q; want %q", fused, name, outcome, want)
+			}
+		}
+		if hits == 0 {
+			t.Fatal("no request binds a benchmark's kernel and parameters; the test is vacuous")
+		}
 	}
 }

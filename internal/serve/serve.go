@@ -199,8 +199,7 @@ type Server struct {
 	aud   *integrity.Auditor
 	board *integrity.Scoreboard
 
-	memo    *memo.Cache
-	fuseSig string
+	memo *memo.Cache
 
 	ts    *tsdb.Store
 	slo   *sloTracker
@@ -241,19 +240,16 @@ func NewServer(cfg Config) *Server {
 		start:     time.Now(),
 		traceBase: uint32(time.Now().UnixNano()),
 	}
-	s.fuseSig = cfg.Fuse.Signature()
 	mcfg := cfg.Memo
 	mcfg.Registry = cfg.Registry
 	// The enable list accepts request names ("gaussian") as operators
-	// type them; the cache keys on canonical kernel names. Copied, not
-	// rewritten in place — the caller owns its slice.
+	// type them; the cache keys on kernel names. Copied, not rewritten in
+	// place — the caller owns its slice. simdserved rejects unknown names
+	// at startup; an embedding caller's typo is reported as an event.
 	if len(mcfg.Kernels) > 0 {
-		names := make([]string, len(mcfg.Kernels))
-		for i, name := range mcfg.Kernels {
-			if spec, ok := kernels[name]; ok {
-				name = spec.name
-			}
-			names[i] = name
+		names, err := MemoKernels(mcfg.Kernels)
+		if err != nil {
+			s.reg.Emit("memo.config_error", map[string]any{"error": err.Error()})
 		}
 		mcfg.Kernels = names
 	}
@@ -655,7 +651,7 @@ func (s *Server) handleProcess(w http.ResponseWriter, r *http.Request) {
 }
 
 // processRequest runs one kernel dispatch: decode, admit (or shed),
-// synthesize the source frame, run the guarded Ctx kernel under the
+// synthesize the source frame, run the guarded kernel under the
 // request deadline, and report the outcome with the breaker's view of the
 // (kernel, ISA) pair.
 func (s *Server) processRequest(w http.ResponseWriter, r *http.Request) {
@@ -672,9 +668,9 @@ func (s *Server) processRequest(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), req.Deadline)
 	defer cancel()
 
-	spec := kernels[req.Kernel]
-	if s.memo.Enabled(spec.name) {
-		s.processMemo(ctx, w, req, spec)
+	call := kernels[req.Kernel]
+	if s.memo.Enabled(call.Kernel.Name) {
+		s.processMemo(ctx, w, req, call)
 		return
 	}
 
@@ -688,19 +684,20 @@ func (s *Server) processRequest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release()
 
-	src := synthesize(spec.srcKind, req.Width, req.Height, req.Seed)
-	dst, err := spec.dst(req.Width, req.Height)
+	src := call.Kernel.Input(image.Resolution{Width: req.Width, Height: req.Height}, req.Seed)
+	dw, dh := call.Kernel.DstDims(req.Width, req.Height)
+	dst, err := image.TryNewMat(dw, dh, call.Kernel.Dst)
 	if err != nil {
 		s.writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
 
-	faults, elapsed, err := s.dispatch(ctx, req, spec, src, dst)
+	faults, elapsed, err := s.dispatch(ctx, req, call, src, dst)
 	if err != nil {
-		s.writeDispatchError(ctx, w, req, spec, err)
+		s.writeDispatchError(ctx, w, req, call, err)
 		return
 	}
-	s.writeResult(w, req, spec, dst, elapsed, faults, "")
+	s.writeResult(w, req, call, dst, elapsed, faults, "")
 }
 
 // dispatch runs one admitted kernel execution end to end: /livez flight
@@ -708,7 +705,7 @@ func (s *Server) processRequest(w http.ResponseWriter, r *http.Request) {
 // kernel run, and the request_seconds observation. The caller holds an
 // admission slot (non-memo path) or acquires one inside compute (memo
 // path).
-func (s *Server) dispatch(ctx context.Context, req Request, spec kernelSpec, src, dst *image.Mat) (int, time.Duration, error) {
+func (s *Server) dispatch(ctx context.Context, req Request, call cv.Call, src, dst *image.Mat) (int, time.Duration, error) {
 	// Queue headroom drives the effective audit rate: a filling queue
 	// down-samples audits before it delays requests.
 	if s.aud != nil {
@@ -716,7 +713,7 @@ func (s *Server) dispatch(ctx context.Context, req Request, spec kernelSpec, src
 	}
 
 	// Admitted: visible on /livez from here until the dispatch returns.
-	fl := s.flightStart(requestID(ctx), spec.name, req.ISA.String())
+	fl := s.flightStart(requestID(ctx), call.Kernel.Name, req.ISA.String())
 	defer s.flightEnd(fl)
 	if testProcessStart != nil {
 		testProcessStart()
@@ -733,13 +730,13 @@ func (s *Server) dispatch(ctx context.Context, req Request, spec kernelSpec, src
 	// add their own band label on top (see cv.bandProf).
 	var err error
 	start := time.Now()
-	pprof.Do(ctx, pprof.Labels("kernel", spec.name, "isa", req.ISA.String()),
+	pprof.Do(ctx, pprof.Labels("kernel", call.Kernel.Name, "isa", req.ISA.String()),
 		func(ctx context.Context) {
-			err = spec.run(ctx, o, src, dst)
+			err = call.Run(ctx, o, src, dst)
 		})
 	elapsed := time.Since(start)
 	s.reg.Histogram("request_seconds", requestBuckets,
-		obs.L("kernel", spec.name)).ObserveExemplar(elapsed.Seconds(), fl.id, s.reg.Now())
+		obs.L("kernel", call.Kernel.Name)).ObserveExemplar(elapsed.Seconds(), fl.id, s.reg.Now())
 	return len(o.Faults()), elapsed, err
 }
 
@@ -749,21 +746,21 @@ func (s *Server) dispatch(ctx context.Context, req Request, spec kernelSpec, src
 // leader's compute closure acquires one. Hit responses flow through the
 // same writeJSON/statusWriter path as compute responses, so they count
 // toward the availability and latency SLOs like any other request.
-func (s *Server) processMemo(ctx context.Context, w http.ResponseWriter, req Request, spec kernelSpec) {
-	dw, dh := spec.dstDims(req.Width, req.Height)
+func (s *Server) processMemo(ctx context.Context, w http.ResponseWriter, req Request, call cv.Call) {
+	dw, dh := call.Kernel.DstDims(req.Width, req.Height)
 	if dw < 1 || dh < 1 {
 		s.writeJSON(w, http.StatusBadRequest, map[string]any{
 			"error": fmt.Sprintf("destination %dx%d has no pixels", dw, dh)})
 		return
 	}
-	src := synthesize(spec.srcKind, req.Width, req.Height, req.Seed)
-	key := memo.KeyFor(spec.name, req.ISA.String(), spec.sig+","+s.fuseSig, src)
+	src := call.Kernel.Input(image.Resolution{Width: req.Width, Height: req.Height}, req.Seed)
+	key := call.MemoKey(req.ISA, s.cfg.Fuse, src)
 
 	// The response plane comes from the scratch pool on the overwrite-only
 	// fast path: a hit copies a full cached plane over it, so the zeroing
 	// sweep GetMat performs would be pure waste. The compute closure
 	// restores zero initialization explicitly before running the kernel.
-	dst := par.GetMatForOverwrite(dw, dh, spec.dstKind)
+	dst := par.GetMatForOverwrite(dw, dh, call.Kernel.Dst)
 	defer par.PutMat(dst)
 
 	var faults int
@@ -774,7 +771,7 @@ func (s *Server) processMemo(ctx context.Context, w http.ResponseWriter, req Req
 		}
 		defer s.adm.release()
 		dst.Clear()
-		f, _, err := s.dispatch(ctx, req, spec, src, dst)
+		f, _, err := s.dispatch(ctx, req, call, src, dst)
 		faults = f
 		return err
 	})
@@ -790,7 +787,7 @@ func (s *Server) processMemo(ctx context.Context, w http.ResponseWriter, req Req
 			s.shed(w, "deadline", "deadline expired while queued")
 			return
 		}
-		s.writeDispatchError(ctx, w, req, spec, err)
+		s.writeDispatchError(ctx, w, req, call, err)
 		return
 	}
 	// Hits and coalesced copies count in request_seconds too: the
@@ -799,15 +796,15 @@ func (s *Server) processMemo(ctx context.Context, w http.ResponseWriter, req Req
 	// memo_hit_seconds holds the fine-grained copy-path distribution).
 	if outcome != memo.Miss {
 		s.reg.Histogram("request_seconds", requestBuckets,
-			obs.L("kernel", spec.name)).ObserveExemplar(elapsed.Seconds(), requestID(ctx), s.reg.Now())
+			obs.L("kernel", call.Kernel.Name)).ObserveExemplar(elapsed.Seconds(), requestID(ctx), s.reg.Now())
 	}
-	s.writeResult(w, req, spec, dst, elapsed, faults, outcome.String())
+	s.writeResult(w, req, call, dst, elapsed, faults, outcome.String())
 }
 
 // writeDispatchError maps a kernel-dispatch error to its response: typed
 // deadline errors shed, stalls are server faults, anything else is the
 // client geometry error it can only be.
-func (s *Server) writeDispatchError(ctx context.Context, w http.ResponseWriter, req Request, spec kernelSpec, err error) {
+func (s *Server) writeDispatchError(ctx context.Context, w http.ResponseWriter, req Request, call cv.Call, err error) {
 	var de *resilience.DeadlineError
 	if errors.As(err, &de) {
 		// Mid-kernel deadline expiry is shed like queue overflow: the
@@ -822,7 +819,7 @@ func (s *Server) writeDispatchError(ctx context.Context, w http.ResponseWriter, 
 		// fault is ours, and the client may retry immediately (the retry
 		// will run scalar if the breaker opened).
 		s.reg.Counter("request_stalls_total",
-			obs.L("kernel", spec.name), obs.L("isa", req.ISA.String())).Inc()
+			obs.L("kernel", call.Kernel.Name), obs.L("isa", req.ISA.String())).Inc()
 		s.writeJSON(w, http.StatusInternalServerError, map[string]any{
 			"error": se.Error(), "stall": true, "band": se.Band,
 			"request_id": requestID(ctx),
@@ -837,9 +834,9 @@ func (s *Server) writeDispatchError(ctx context.Context, w http.ResponseWriter, 
 // writeResult emits the 200 response for a completed request. memo names
 // how the memoization layer satisfied it ("" when memoization is off for
 // the kernel).
-func (s *Server) writeResult(w http.ResponseWriter, req Request, spec kernelSpec, dst *image.Mat, elapsed time.Duration, faults int, memoOutcome string) {
+func (s *Server) writeResult(w http.ResponseWriter, req Request, call cv.Call, dst *image.Mat, elapsed time.Duration, faults int, memoOutcome string) {
 	body := map[string]any{
-		"kernel":     spec.name,
+		"kernel":     call.Kernel.Name,
 		"isa":        req.ISA.String(),
 		"width":      req.Width,
 		"height":     req.Height,
@@ -847,7 +844,7 @@ func (s *Server) writeResult(w http.ResponseWriter, req Request, spec kernelSpec
 		"checksum":   strconv.FormatUint(checksum(dst), 16),
 		"elapsed_us": elapsed.Microseconds(),
 		"faults":     faults,
-		"breaker":    s.brk.State(spec.name, req.ISA.String()).String(),
+		"breaker":    s.brk.State(call.Kernel.Name, req.ISA.String()).String(),
 	}
 	if memoOutcome != "" {
 		body["memo"] = memoOutcome
@@ -891,14 +888,6 @@ func (s *Server) injectorFor(isa cv.ISA) faults.Injector {
 		return nil
 	}
 	return cell.inj
-}
-
-func synthesize(kind image.Type, w, h int, seed uint64) *image.Mat {
-	res := image.Resolution{Width: w, Height: h}
-	if kind == image.F32 {
-		return image.SyntheticF32(res, seed)
-	}
-	return image.Synthetic(res, seed)
 }
 
 // LockInjector wraps an injector with a mutex so single-threaded fault

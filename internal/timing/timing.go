@@ -21,6 +21,7 @@
 package timing
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -98,34 +99,14 @@ func HandProfile(bench string, isa cv.ISA) (vectorizer.Profile, error) {
 }
 
 func runBench(o *cv.Ops, bench string) error {
-	res := image.Resolution{Width: probeW, Height: probeH}
-	switch bench {
-	case "ConvertFloatShort":
-		src := image.SyntheticF32(res, 1)
-		dst := image.NewMat(probeW, probeH, image.S16)
-		return o.ConvertF32ToS16(src, dst)
-	case "BinThr":
-		src := image.Synthetic(res, 1)
-		dst := image.NewMat(probeW, probeH, image.U8)
-		return o.Threshold(src, dst, 128, 255, cv.ThreshTrunc)
-	case "GauBlu":
-		src := image.Synthetic(res, 1)
-		dst := image.NewMat(probeW, probeH, image.U8)
-		return o.GaussianBlur(src, dst)
-	case "SobFil":
-		src := image.Synthetic(res, 1)
-		dst := image.NewMat(probeW, probeH, image.S16)
-		return o.SobelFilter(src, dst, 1, 0)
-	case "EdgDet":
-		src := image.Synthetic(res, 1)
-		dst := image.NewMat(probeW, probeH, image.U8)
-		return o.DetectEdges(src, dst, 100)
-	case "Canny":
-		src := image.Synthetic(res, 1)
-		dst := image.NewMat(probeW, probeH, image.U8)
-		return o.Canny(src, dst, 60, 200)
+	c, ok := cv.Benchmark(bench)
+	if !ok {
+		return fmt.Errorf("timing: unknown benchmark %q", bench)
 	}
-	return fmt.Errorf("timing: unknown benchmark %q", bench)
+	src := c.Kernel.Input(image.Resolution{Width: probeW, Height: probeH}, 1)
+	w, h := c.Kernel.DstDims(probeW, probeH)
+	dst := image.NewMat(w, h, c.Kernel.Dst)
+	return c.Run(context.TODO(), o, src, dst)
 }
 
 // --- AUTO profiles: derived from the auto-vectorization model ---
