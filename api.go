@@ -310,7 +310,7 @@ const (
 func NewFaultPlan(cfg FaultConfig) *FaultPlan { return faults.NewPlan(cfg) }
 
 // KernelFault records one guarded-kernel fault event (detection, retry
-// recovery, scalar fallback, or kill-switch).
+// recovery, or scalar fallback).
 type KernelFault = cv.KernelFault
 
 // FaultAction classifies a KernelFault.
@@ -321,11 +321,10 @@ const (
 	FaultDetected       = cv.ActionDetected
 	FaultRetryRecovered = cv.ActionRetryRecovered
 	FaultFallback       = cv.ActionFallback
-	FaultKillSwitch     = cv.ActionKillSwitch
 )
 
-// GuardPolicy tunes the guarded-execution mode of Ops (spot-check rows,
-// retry budget, kill-switch threshold).
+// GuardPolicy tunes the guarded-execution mode of Ops (spot-check rows and
+// retry budget).
 type GuardPolicy = cv.GuardPolicy
 
 // DefaultGuardPolicy returns the policy used when none is set.
@@ -463,17 +462,13 @@ const (
 
 // BreakerConfig tunes the per-(kernel, ISA) circuit breakers: failure-rate
 // window, cooldown, half-open probe budget, and the give-up threshold that
-// maps onto the kill-switch.
+// latches the terminal stuck-open state.
 type BreakerConfig = resilience.BreakerConfig
 
 // BreakerSet is a family of per-(kernel, ISA) circuit breakers. Attach it
 // with Ops.SetBreakers so guard verdicts drive it and open breakers demote
 // calls to the scalar path.
 type BreakerSet = resilience.BreakerSet
-
-// Backoff is an exponential backoff schedule with deterministic jitter,
-// used by GuardPolicy.Backoff to space SIMD retries.
-type Backoff = resilience.Backoff
 
 // DeadlineError is the typed cancellation error returned by Kernel.Run
 // and the Ctx entry points, carrying partial-progress accounting (rows,

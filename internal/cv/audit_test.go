@@ -184,7 +184,7 @@ func TestAuditGuardedPiggybackRepairsSpotCheckMiss(t *testing.T) {
 
 	aud := integrity.NewAuditor(integrity.AuditConfig{Rate: 1})
 	g := NewOps(ISANEON, nil)
-	g.SetGuardPolicy(GuardPolicy{SampleRows: 1, MaxRetries: 0, KillAfter: -1})
+	g.SetGuardPolicy(GuardPolicy{SampleRows: 1, MaxRetries: 0})
 	g.SetAuditor(aud)
 	g.SetFaultInjector(mkCorr())
 	dst := image.NewMat(64, 48, image.U8)
@@ -200,6 +200,62 @@ func TestAuditGuardedPiggybackRepairsSpotCheckMiss(t *testing.T) {
 	if !want.EqualTo(dst) {
 		t.Fatalf("guard-clean path did not repair the audited divergence (%d diff pixels)",
 			want.DiffCount(dst, 0))
+	}
+}
+
+// flipAt corrupts the V128s at the listed 1-based positions of the stream
+// seen at one site.
+type flipAt struct {
+	site faults.Site
+	at   map[int]bool
+	seen int
+}
+
+func (c *flipAt) V128(site faults.Site, v vec.V128) vec.V128 {
+	if site != c.site {
+		return v
+	}
+	c.seen++
+	if c.at[c.seen] {
+		v[0] ^= 0x40
+	}
+	return v
+}
+func (c *flipAt) V64(site faults.Site, v vec.V64) vec.V64 { return v }
+func (c *flipAt) Skew(site faults.Site, slack int) int    { return 0 }
+
+// TestAuditGuardedRetryRepairsUncheckedRows: an audited guarded call whose
+// first output diverges in a sampled row is retried; the retry passes the
+// one-row spot-check but is corrupt elsewhere. The audit verdict stands on
+// the first output, and the plane the call returns must still equal the
+// scalar reference everywhere.
+func TestAuditGuardedRetryRepairsUncheckedRows(t *testing.T) {
+	src := image.Synthetic(image.Resolution{Width: 64, Height: 48}, 6)
+	want := scalarThreshold(t, ISANEON, src)
+
+	// 64x48 Threshold runs 192 ALU vectors per pass: vector 1 lands in
+	// row 0 of the first run, vector 192+100 around row 25 of the retry.
+	aud := integrity.NewAuditor(integrity.AuditConfig{Rate: 1})
+	g := NewOps(ISANEON, nil)
+	g.SetGuardPolicy(GuardPolicy{SampleRows: 1, MaxRetries: 1})
+	g.SetAuditor(aud)
+	g.SetFaultInjector(&flipAt{site: faults.SiteALU, at: map[int]bool{1: true, 192 + 100: true}})
+	dst := image.NewMat(64, 48, image.U8)
+	if err := g.Threshold(src, dst, 100, 255, ThreshTrunc); err != nil {
+		t.Fatal(err)
+	}
+	var actions []FaultAction
+	for _, f := range g.Faults() {
+		actions = append(actions, f.Action)
+	}
+	if len(actions) != 2 || actions[0] != ActionDetected || actions[1] != ActionRetryRecovered {
+		t.Fatalf("want detected + retry-recovered, got %v", g.Faults())
+	}
+	if aud.Mismatches() != 1 {
+		t.Fatalf("audit mismatches = %d, want 1 (the first output)", aud.Mismatches())
+	}
+	if !want.EqualTo(dst) {
+		t.Fatalf("returned plane differs from scalar in %d pixels", want.DiffCount(dst, 0))
 	}
 }
 

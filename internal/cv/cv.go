@@ -89,9 +89,8 @@ type Ops struct {
 	policy       GuardPolicy
 	injector     faults.Injector
 	kernelFaults []KernelFault
-	fallbacks    int
 
-	// Integrity audit state (see audit.go). aud, when set, samples SIMD
+	// Integrity audit state (see guard.go). aud, when set, samples SIMD
 	// kernel calls for redundant scalar re-execution; a sampled call that
 	// diverges is repaired from the reference and recorded as silent
 	// corruption.
@@ -100,8 +99,8 @@ type Ops struct {
 	// Resilience state (see guard.go and ctx.go). brk, when set, is
 	// consulted once per outermost kernel call: an open breaker demotes
 	// that call to the scalar path via denySIMD without touching the
-	// useOptimized latch. depth counts nested public entry points so the
-	// breaker decision is made exactly once per call tree.
+	// user's useOptimized switch. depth counts nested public entry points
+	// so the breaker decision is made exactly once per call tree.
 	brk        *resilience.BreakerSet
 	denySIMD   bool
 	depth      int
@@ -160,7 +159,7 @@ func NewOps(isa ISA, t *trace.Counter) *Ops {
 func (o *Ops) SetUseOptimized(on bool) { o.useOptimized = on }
 
 // UseOptimized reports whether SIMD paths are active for the current call:
-// the latch must be on, the ISA must have SIMD, and — when a breaker set is
+// the switch must be on, the ISA must have SIMD, and — when a breaker set is
 // attached — the breaker for the running kernel must have admitted it.
 func (o *Ops) UseOptimized() bool {
 	return o.useOptimized && o.isa != ISAScalar && !o.denySIMD
@@ -200,31 +199,20 @@ func (o *Ops) Supervisor() *super.Supervisor { return o.sup }
 
 // ResumeState is the per-Ops execution position a checkpointed campaign
 // journals with each completed image: the pass sequence that salts the
-// per-row fault streams, and the guard's cumulative fallback/kill-switch
-// state. Restoring it into a fresh Ops after a crash makes the remaining
-// images draw exactly the streams (and guard decisions) the killed process
-// would have drawn.
+// per-row fault streams. Restoring it into a fresh Ops after a crash makes
+// the remaining images draw exactly the streams the killed process would
+// have drawn.
 type ResumeState struct {
-	PassSeq      uint64 `json:"pass_seq"`
-	Fallbacks    int    `json:"fallbacks"`
-	UseOptimized bool   `json:"use_optimized"`
+	PassSeq uint64 `json:"pass_seq"`
 }
 
 // ResumeState snapshots the Ops' checkpointable execution position.
 func (o *Ops) ResumeState() ResumeState {
-	return ResumeState{
-		PassSeq:      o.passSeq.Load(),
-		Fallbacks:    o.fallbacks,
-		UseOptimized: o.useOptimized,
-	}
+	return ResumeState{PassSeq: o.passSeq.Load()}
 }
 
 // SetResumeState restores a position snapshotted by ResumeState.
-func (o *Ops) SetResumeState(st ResumeState) {
-	o.passSeq.Store(st.PassSeq)
-	o.fallbacks = st.Fallbacks
-	o.useOptimized = st.UseOptimized
-}
+func (o *Ops) SetResumeState(st ResumeState) { o.passSeq.Store(st.PassSeq) }
 
 // ISA returns the configured instruction set.
 func (o *Ops) ISA() ISA { return o.isa }

@@ -208,18 +208,14 @@ type fusedAudit struct {
 // strip compares got's rows [y0, y1) against the reference, repairing
 // from it and recording the corruption on divergence.
 func (fa *fusedAudit) strip(o *Ops, kernel string, k, y0, y1 int, got *image.Mat) {
-	first, diffs := diffRegion(got, fa.want, y0, y1, 0)
-	if diffs == 0 {
+	ce := o.corruption(kernel, got, fa.want, y0, y1, 0)
+	if ce == nil {
 		return
 	}
 	if fa.ce == nil {
-		fa.ce = &integrity.CorruptionError{
-			Kernel: kernel, ISA: o.isa.String(),
-			Region:    integrity.Region{Row0: y0, Row1: y1, Width: got.Width},
-			FirstDiff: first, Diffs: diffs,
-		}
+		fa.ce = ce
 	} else {
-		fa.ce.Diffs += diffs
+		fa.ce.Diffs += ce.Diffs
 		fa.ce.Region.Row1 = y1
 	}
 	w := got.Width
@@ -229,20 +225,19 @@ func (fa *fusedAudit) strip(o *Ops, kernel string, k, y0, y1 int, got *image.Mat
 			obs.L("kernel", kernel), obs.L("isa", o.isa.String())).Inc()
 		o.Obs.Emit("integrity.fused_strip_corruption", map[string]any{
 			"kernel": kernel, "isa": o.isa.String(), "trace_id": o.traceID,
-			"strip": k, "row0": y0, "row1": y1, "diffs": diffs,
+			"strip": k, "row0": y0, "row1": y1, "diffs": ce.Diffs,
 		})
 	}
 }
 
-// finish reports the sweep's audit verdict to the auditor scoreboard and
-// the kernel's breaker, mirroring auditedRun.
+// finish reports the sweep's audit verdict to the auditor and the
+// kernel's breaker.
 func (fa *fusedAudit) finish(o *Ops, kernel string) {
 	if fa.ce != nil {
 		fa.sp.SetAttr("mismatch", true)
 	}
 	fa.sp.End()
-	o.aud.Observe(o.Obs, kernel, o.isa.String(), time.Since(fa.start), o.traceID, fa.ce)
-	o.recordBreaker(kernel, fa.ce == nil)
+	o.verdict(kernel, fa.ce == nil, true, time.Since(fa.start), fa.ce)
 	par.PutMat(fa.want)
 }
 
@@ -254,16 +249,13 @@ func (o *Ops) beginFusedAudit(w, h int, ref func(ro *Ops, d *image.Mat) error) (
 	if o.aud == nil || o.inGuard || !o.UseOptimized() || !o.aud.Sample() {
 		return nil, nil
 	}
-	fa := &fusedAudit{start: time.Now(), sp: o.curSpan().Child("integrity.fused_audit")}
-	ro := NewOps(o.isa, nil)
-	ro.SetUseOptimized(false)
-	fa.want = par.GetMat(w, h, image.U8)
-	if err := ref(ro, fa.want); err != nil {
-		fa.sp.End()
-		par.PutMat(fa.want)
+	start, sp := time.Now(), o.curSpan().Child("integrity.fused_audit")
+	want, err := o.referee(w, h, image.U8, ref)
+	if err != nil {
+		sp.End()
 		return nil, err
 	}
-	return fa, nil
+	return &fusedAudit{want: want, start: start, sp: sp}, nil
 }
 
 // cannyFused runs the Canny pipeline as a single strip-streamed sweep:

@@ -9,19 +9,36 @@ import (
 	"simdstudy/internal/integrity"
 	"simdstudy/internal/obs"
 	"simdstudy/internal/par"
-	"simdstudy/internal/resilience"
 )
 
-// This file implements guarded mode: a self-checking dispatch wrapper that
-// runs a scalar referee after each hand-SIMD kernel, spot-checks sampled
-// rows, and degrades gracefully — detect, retry once, fall back to the
-// scalar result, and finally trip the setUseOptimized kill-switch — instead
-// of letting a corrupted lane reach the caller as silently wrong pixels.
+// This file is the scalar referee every hand-SIMD kernel call routes
+// through: guarded mode and the integrity layer's sampled audits share one
+// path, guardedRun. Banding happens inside the simd closure, so serial and
+// pooled band paths are refereed alike.
 //
 // The referee is a fresh scalar Ops configured for the *same* ISA, because
 // rounding conventions are per-platform (cvRound is half-to-even on SSE2 and
 // half-away-from-zero on ARM); comparing against the other family's scalar
 // code would flag legitimate divergence as faults.
+//
+// A call is refereed when guarded mode is on or when the attached Auditor
+// samples it (one draw per outermost SIMD call). Then:
+//
+//   - Guarded: sampled rows are spot-checked against the referee; on
+//     divergence the SIMD path is retried up to MaxRetries times, and a
+//     divergence that survives is resolved by substituting the referee's
+//     plane (fallback). The guard's outcome is the breaker verdict.
+//   - Audited: the first SIMD output is compared in full; a divergence is a
+//     typed CorruptionError reported to the Auditor (and, unguarded, the
+//     breaker verdict). Whatever plane the call returns is checked in full
+//     and repaired from the reference, so a detected-corrupt plane never
+//     reaches the caller.
+//
+// Terminal demotion belongs to the breaker alone: a stuck-open breaker
+// refuses the SIMD path at dispatch (beginKernel). useOptimized is only the
+// user's setUseOptimized switch. An unsampled call costs one atomic load
+// (rate scaled to zero) or one mutexed xorshift draw — no allocation, which
+// the Host* benchmark gate pins down.
 
 // FaultAction classifies how a guarded kernel resolved a divergence.
 type FaultAction int
@@ -37,12 +54,9 @@ const (
 	// ActionFallback: retries exhausted; the scalar referee's output was
 	// substituted for the SIMD output.
 	ActionFallback
-	// ActionKillSwitch: repeated fallbacks disabled the optimized paths for
-	// this Ops entirely (setUseOptimized(false)).
-	ActionKillSwitch
 )
 
-var actionNames = [...]string{"detected", "retry-recovered", "fallback", "kill-switch"}
+var actionNames = [...]string{"detected", "retry-recovered", "fallback"}
 
 // String names the action.
 func (a FaultAction) String() string {
@@ -75,22 +89,11 @@ type GuardPolicy struct {
 	// MaxRetries is how many times the SIMD path is re-run after a
 	// detection before falling back. Negative means zero retries.
 	MaxRetries int
-	// KillAfter trips the kill-switch (useOptimized=false) after this many
-	// fallbacks. Zero means the default of 3; negative disables the switch.
-	// Ignored when a breaker set is attached (SetBreakers): there, the
-	// breaker's GiveUpAfter policy owns the terminal demotion.
-	KillAfter int
-	// Seed drives the deterministic row sampler.
-	Seed uint64
-	// Backoff spaces SIMD retries after a detection. The zero value keeps
-	// the historical immediate retry; waits are interruptible by the
-	// context bound through Kernel.Run.
-	Backoff resilience.Backoff
 }
 
 // DefaultGuardPolicy returns the policy used when none is set.
 func DefaultGuardPolicy() GuardPolicy {
-	return GuardPolicy{SampleRows: 8, MaxRetries: 1, KillAfter: 3, Seed: 1}
+	return GuardPolicy{SampleRows: 8, MaxRetries: 1}
 }
 
 func (p GuardPolicy) normalized() GuardPolicy {
@@ -99,12 +102,6 @@ func (p GuardPolicy) normalized() GuardPolicy {
 	}
 	if p.MaxRetries < 0 {
 		p.MaxRetries = 0
-	}
-	if p.KillAfter == 0 {
-		p.KillAfter = 3
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
 	}
 	return p
 }
@@ -127,6 +124,16 @@ func (o *Ops) SetGuardPolicy(p GuardPolicy) {
 	o.guarded = true
 }
 
+// SetAuditor attaches (or, with nil, detaches) an integrity auditor
+// sampling this Ops' SIMD kernel calls for scalar re-execution. The
+// auditor may be shared across Ops (the serving front-end shares one per
+// server); outcomes report to the Ops' observer registry and the
+// auditor's scoreboard.
+func (o *Ops) SetAuditor(a *integrity.Auditor) { o.aud = a }
+
+// Auditor returns the attached auditor, or nil.
+func (o *Ops) Auditor() *integrity.Auditor { return o.aud }
+
 // SetFaultInjector attaches (or, with nil, detaches) a fault injector to the
 // underlying NEON and SSE2 emulation units. The injector fires at every
 // instrumented intrinsic; the scalar paths and the guard referee are never
@@ -143,18 +150,8 @@ func (o *Ops) FaultInjector() faults.Injector { return o.injector }
 // Faults returns the guarded-mode interventions recorded so far.
 func (o *Ops) Faults() []KernelFault { return o.kernelFaults }
 
-// Fallbacks returns how many times a kernel fell back to the scalar result.
-func (o *Ops) Fallbacks() int { return o.fallbacks }
-
-// ResetFaults clears recorded interventions and the fallback count, and
-// re-arms the kill-switch by re-enabling optimized paths if the ISA has any.
-func (o *Ops) ResetFaults() {
-	o.kernelFaults = nil
-	o.fallbacks = 0
-	if o.isa != ISAScalar {
-		o.useOptimized = true
-	}
-}
+// ResetFaults clears the recorded interventions.
+func (o *Ops) ResetFaults() { o.kernelFaults = nil }
 
 func (o *Ops) recordFault(f KernelFault) {
 	o.kernelFaults = append(o.kernelFaults, f)
@@ -179,8 +176,8 @@ func (o *Ops) recordFault(f KernelFault) {
 }
 
 // sampleRows picks policy.SampleRows distinct rows of an h-row image
-// deterministically from the policy seed. The first and last rows are always
-// included: edge handling is where hand kernels historically diverge.
+// deterministically. The first and last rows are always included: edge
+// handling is where hand kernels historically diverge.
 func (o *Ops) sampleRows(h int) []int {
 	n := o.policy.SampleRows
 	if n >= h {
@@ -202,7 +199,7 @@ func (o *Ops) sampleRows(h int) []int {
 	if n > 1 {
 		add(h - 1)
 	}
-	s := o.policy.Seed
+	s := uint64(1)
 	for len(rows) < n {
 		s ^= s >> 12
 		s ^= s << 25
@@ -212,84 +209,91 @@ func (o *Ops) sampleRows(h int) []int {
 	return rows
 }
 
-// diffRows counts pixels in the sampled rows where got and want differ by
-// more than tol, and returns the diverging rows alongside the total.
-func diffRows(got, want *image.Mat, rows []int, tol int) (bad []int, diffs int) {
-	w := got.Width
-	absDiff := func(a, b int) int {
-		if a > b {
-			return a - b
-		}
-		return b - a
-	}
-	for _, r := range rows {
-		lo, hi := r*w, (r+1)*w
-		d := 0
-		switch got.Kind {
-		case image.U8:
-			for i := lo; i < hi; i++ {
-				if absDiff(int(got.U8Pix[i]), int(want.U8Pix[i])) > tol {
-					d++
-				}
+// diffRegion counts elements in rows [r0, r1) where got and want differ by
+// more than tol, returning the plane-linear index of the first divergence
+// (-1 when none) alongside the count. Every kernel writes a U8 or S16
+// plane.
+func diffRegion(got, want *image.Mat, r0, r1, tol int) (first, diffs int) {
+	first = -1
+	lo, hi := r0*got.Width, r1*got.Width
+	note := func(i, a, b int) {
+		if a-b > tol || b-a > tol {
+			if first < 0 {
+				first = i
 			}
-		case image.S16:
-			for i := lo; i < hi; i++ {
-				if absDiff(int(got.S16Pix[i]), int(want.S16Pix[i])) > tol {
-					d++
-				}
-			}
-		case image.F32:
-			for i := lo; i < hi; i++ {
-				a, b := got.F32Pix[i], want.F32Pix[i]
-				// NaN anywhere is a divergence: no kernel here produces one.
-				if a != a || b != b || absDiff(int(a-b), 0) > tol {
-					d++
-				}
-			}
-		}
-		if d > 0 {
-			bad = append(bad, r)
-			diffs += d
+			diffs++
 		}
 	}
-	return bad, diffs
+	switch got.Kind {
+	case image.U8:
+		for i := lo; i < hi; i++ {
+			note(i, int(got.U8Pix[i]), int(want.U8Pix[i]))
+		}
+	case image.S16:
+		for i := lo; i < hi; i++ {
+			note(i, int(got.S16Pix[i]), int(want.S16Pix[i]))
+		}
+	default:
+		panic(fmt.Sprintf("cv: referee cannot compare %v planes", got.Kind))
+	}
+	return first, diffs
+}
+
+// corruption compares rows [r0, r1) of got against want, returning nil
+// when they agree within tol or a CorruptionError locating the divergence.
+func (o *Ops) corruption(kernel string, got, want *image.Mat, r0, r1, tol int) *integrity.CorruptionError {
+	first, diffs := diffRegion(got, want, r0, r1, tol)
+	if diffs == 0 {
+		return nil
+	}
+	return &integrity.CorruptionError{
+		Kernel: kernel, ISA: o.isa.String(),
+		Region:    integrity.Region{Row0: r0, Row1: r1, Width: got.Width},
+		FirstDiff: first, Diffs: diffs,
+	}
 }
 
 // copyPixels overwrites dst's pixel data with src's (shapes already match).
 func copyPixels(dst, src *image.Mat) {
 	copy(dst.U8Pix, src.U8Pix)
 	copy(dst.S16Pix, src.S16Pix)
-	copy(dst.F32Pix, src.F32Pix)
 }
 
-// guardedRun is the guarded dispatch wrapper every SIMD kernel entry point
-// routes through. simd runs the hand-optimized path into dst; rerun invokes
-// the same public entry point on a referee Ops so the scalar reference lands
-// in a scratch Mat. tol is the per-kernel pixel tolerance (nonzero only
-// where the SIMD path legitimately rounds differently from scalar code).
-//
-// Flow: run SIMD → spot-check sampled rows against the scalar referee → on
-// divergence record ActionDetected, retry the SIMD path up to MaxRetries →
-// still diverging: substitute the referee output (ActionFallback) → after
-// KillAfter fallbacks flip useOptimized off (ActionKillSwitch).
+// referee computes the scalar reference into a pooled w x h plane, which
+// the caller returns with par.PutMat. The referee Ops has the same ISA
+// (same rounding conventions), optimizations off, no trace (its
+// instructions are bookkeeping, not workload), no fault injector, and no
+// bound context, so a deadline never interrupts the reference mid-row.
+func (o *Ops) referee(w, h int, kind image.Type, run func(ref *Ops, d *image.Mat) error) (*image.Mat, error) {
+	ref := NewOps(o.isa, nil)
+	ref.SetUseOptimized(false)
+	want := par.GetMat(w, h, kind)
+	if err := run(ref, want); err != nil {
+		par.PutMat(want)
+		return nil, err
+	}
+	return want, nil
+}
+
+// guardedRun is the refereed dispatch every SIMD kernel entry point routes
+// through. simd runs the hand-optimized path into dst; rerun invokes the
+// same kernel on a referee Ops so the scalar reference lands in a scratch
+// Mat. tol is the per-kernel pixel tolerance (nonzero only where the SIMD
+// path legitimately rounds differently from scalar code). A call that
+// fails or is cancelled records no verdict.
 func (o *Ops) guardedRun(kernel string, dst *image.Mat, tol int,
 	simd func() error, rerun func(ref *Ops, d *image.Mat) error) error {
 	if o.inGuard {
 		// A nested kernel call (DetectEdges → SobelFilter) already covered
-		// by the outer guard or audit.
+		// by the outer referee.
 		return simd()
 	}
-	if !o.guarded {
-		if o.aud != nil && o.aud.Sample() {
-			return o.auditedRun(kernel, dst, tol, simd, rerun)
-		}
-		return simd()
-	}
-	// In guarded mode a sampled audit piggybacks on the guard's referee (see
-	// audit.go): the sampling decision is drawn here, up front, so the
-	// sampler stream is positioned identically whether or not the guard
-	// later intervenes.
+	// The sampling decision is drawn up front, so the sampler stream is
+	// positioned identically whether or not the guard later intervenes.
 	audit := o.aud != nil && o.aud.Sample()
+	if !o.guarded && !audit {
+		return simd()
+	}
 	o.inGuard = true
 	defer func() { o.inGuard = false }()
 
@@ -297,98 +301,115 @@ func (o *Ops) guardedRun(kernel string, dst *image.Mat, tol int,
 		return err
 	}
 
-	// Scalar referee: same ISA (same rounding conventions), optimizations
-	// off, no trace (its instructions are bookkeeping, not workload), and
-	// crucially no fault injector. Its Ops has no bound context either, so
-	// a deadline can never interrupt the reference computation mid-row.
 	o.ctxCheck()
-	refSpan := o.curSpan().Child("guard.referee")
-	ref := NewOps(o.isa, nil)
-	ref.SetUseOptimized(false)
-	want := par.GetMat(dst.Width, dst.Height, dst.Kind)
+	start := time.Now()
+	spName := "integrity.audit"
+	if o.guarded {
+		spName = "guard.referee"
+	}
+	sp := o.curSpan().Child(spName)
+	want, err := o.referee(dst.Width, dst.Height, dst.Kind, rerun)
+	if err != nil {
+		sp.End()
+		return fmt.Errorf("cv: %s referee: %w", kernel, err)
+	}
 	defer par.PutMat(want)
-	if err := rerun(ref, want); err != nil {
-		refSpan.End()
-		return fmt.Errorf("cv: %s guard referee: %w", kernel, err)
-	}
-
-	rows := o.sampleRows(dst.Height)
-	bad, diffs := diffRows(dst, want, rows, tol)
-	refSpan.End()
-
-	// Piggyback audit: compare the first SIMD output against the referee
-	// over the audit window (the referee is already paid for, so the audit
-	// costs only the compare). The guard keeps sole ownership of the breaker
-	// verdict below; the audit contributes the corruption record and, on the
-	// guard-clean path, a repair when the spot-check's rows missed a
-	// divergence the full-window compare caught.
-	var auditCE *integrity.CorruptionError
+	var ce *integrity.CorruptionError
 	if audit {
-		cmpStart := time.Now()
-		auditCE = o.auditCompare(kernel, dst, want, tol)
-		o.aud.Observe(o.Obs, kernel, o.isa.String(), time.Since(cmpStart), o.traceID, auditCE)
-	}
-
-	if len(bad) == 0 {
-		if auditCE != nil {
-			copyPixels(dst, want)
+		ce = o.corruption(kernel, dst, want, 0, dst.Height, tol)
+		if ce != nil {
+			sp.SetAttr("mismatch", true)
 		}
-		o.recordBreaker(kernel, true)
-		return nil
+	}
+	sp.End()
+	auditDur := time.Since(start)
+
+	ok, corrupt := ce == nil, ce != nil
+	if o.guarded {
+		retried, fellBack, err := o.spotCheck(kernel, dst, want, tol, simd)
+		if err != nil {
+			return err
+		}
+		ok = !fellBack
+		switch {
+		case fellBack:
+			corrupt = false
+		case retried && audit:
+			// The audit verdict stands on the first output, but a retry
+			// replaced that plane: check the one actually returned.
+			_, d := diffRegion(dst, want, 0, dst.Height, tol)
+			corrupt = d > 0
+		}
+	}
+	if corrupt {
+		// The reference is the trusted result.
+		copyPixels(dst, want)
+	}
+	o.verdict(kernel, ok, audit, auditDur, ce)
+	return nil
+}
+
+// spotCheck is the guard proper. It compares the policy's sampled rows of
+// dst against the referee; on divergence it records ActionDetected and
+// re-runs simd up to MaxRetries times, and a divergence that survives is
+// resolved by copying the referee's plane into dst (ActionFallback).
+// retried reports that simd rewrote dst after the first compare.
+func (o *Ops) spotCheck(kernel string, dst, want *image.Mat, tol int, simd func() error) (retried, fellBack bool, err error) {
+	rows := o.sampleRows(dst.Height)
+	check := func() (bad []int, diffs int) {
+		for _, r := range rows {
+			if _, d := diffRegion(dst, want, r, r+1, tol); d > 0 {
+				bad = append(bad, r)
+				diffs += d
+			}
+		}
+		return bad, diffs
+	}
+	bad, diffs := check()
+	if len(bad) == 0 {
+		return false, false, nil
 	}
 	o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionDetected, Rows: bad, Diffs: diffs})
 
 	for try := 0; try < o.policy.MaxRetries; try++ {
-		if d := o.policy.Backoff.Delay(try); d > 0 {
-			if err := resilience.Sleep(o.ctx, d); err != nil {
-				panic(ctxCanceled{err})
-			}
-		}
 		o.ctxCheck()
 		retrySpan := o.curSpan().Child("guard.retry")
 		if err := simd(); err != nil {
 			retrySpan.End()
-			return err
+			return true, false, err
 		}
-		if b, _ := diffRows(dst, want, rows, tol); len(b) == 0 {
-			retrySpan.End()
-			o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionRetryRecovered})
-			o.recordBreaker(kernel, true)
-			return nil
-		}
+		b, _ := check()
 		retrySpan.End()
+		if len(b) == 0 {
+			o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionRetryRecovered})
+			return true, false, nil
+		}
 	}
 
 	// Degrade gracefully: the referee already computed the full scalar
 	// image, so the fallback is a copy, not a recompute.
 	fbSpan := o.curSpan().Child("guard.fallback")
 	copyPixels(dst, want)
-	o.fallbacks++
 	o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionFallback})
-	if o.brk == nil && o.policy.KillAfter > 0 && o.fallbacks >= o.policy.KillAfter && o.useOptimized {
-		// Legacy terminal demotion, only without a breaker: with one, the
-		// breaker's open/half-open cycle owns the decision and StuckOpen is
-		// the terminal action (see recordBreaker).
-		o.useOptimized = false
-		o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionKillSwitch})
-	}
 	fbSpan.End()
-	o.recordBreaker(kernel, false)
-	return nil
+	return false, true, nil
 }
 
-// recordBreaker feeds one guard verdict into the kernel's breaker, when one
-// is attached. A breaker that latches StuckOpen maps onto the legacy
-// kill-switch: optimized paths are disabled for this Ops and the terminal
-// action is recorded in the fault log.
+// verdict closes one refereed call: a sampled audit's outcome (taking dur
+// to reach) goes to the auditor, then pass/fail to the kernel's breaker.
+func (o *Ops) verdict(kernel string, ok, audited bool, dur time.Duration, ce *integrity.CorruptionError) {
+	if audited {
+		o.aud.Observe(o.Obs, kernel, o.isa.String(), dur, o.traceID, ce)
+	}
+	o.recordBreaker(kernel, ok)
+}
+
+// recordBreaker feeds one verdict into the kernel's breaker, when one is
+// attached.
 func (o *Ops) recordBreaker(kernel string, success bool) {
 	if o.brk == nil {
 		return
 	}
 	o.brkPending = ""
-	st := o.brk.Record(kernel, o.isa.String(), success)
-	if st == resilience.StateStuckOpen && o.useOptimized {
-		o.useOptimized = false
-		o.recordFault(KernelFault{Kernel: kernel, ISA: o.isa, Action: ActionKillSwitch})
-	}
+	o.brk.Record(kernel, o.isa.String(), success)
 }

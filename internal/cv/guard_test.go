@@ -73,8 +73,8 @@ func TestGuardDetectsAndFallsBack(t *testing.T) {
 		if actions[ActionDetected] == 0 {
 			t.Errorf("%v: corruption not detected: %v", isa, g.Faults())
 		}
-		if actions[ActionFallback] == 0 || g.Fallbacks() != 1 {
-			t.Errorf("%v: no fallback recorded (fallbacks=%d): %v", isa, g.Fallbacks(), g.Faults())
+		if actions[ActionFallback] != 1 {
+			t.Errorf("%v: want one fallback recorded: %v", isa, g.Faults())
 		}
 		if tr.EventCount("fault.detected") == 0 || tr.EventCount("fault.fallback") == 0 {
 			t.Errorf("%v: trace events missing: %v", isa, tr.Events())
@@ -119,49 +119,6 @@ func TestGuardRetryRecovers(t *testing.T) {
 	}
 }
 
-// TestGuardKillSwitch: repeated fallbacks must flip useOptimized off, after
-// which kernels run scalar (and record no further faults).
-func TestGuardKillSwitch(t *testing.T) {
-	src := image.Synthetic(image.Resolution{Width: 64, Height: 48}, 4)
-	g := NewOps(ISANEON, nil)
-	g.SetGuardPolicy(GuardPolicy{SampleRows: 48, KillAfter: 2})
-	g.SetFaultInjector(&corruptor{site: faults.SiteALU, remaining: -1})
-	dst := image.NewMat(64, 48, image.U8)
-
-	for i := 0; i < 3; i++ {
-		if err := g.MedianBlur3x3(src, dst); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if g.UseOptimized() {
-		t.Fatal("kill-switch did not disable optimized paths after repeated fallbacks")
-	}
-	var tripped bool
-	for _, f := range g.Faults() {
-		if f.Action == ActionKillSwitch {
-			tripped = true
-		}
-	}
-	if !tripped {
-		t.Fatalf("no kill-switch record: %v", g.Faults())
-	}
-
-	// Scalar-only now: the run is clean and adds no fault records.
-	before := len(g.Faults())
-	if err := g.MedianBlur3x3(src, dst); err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Faults()) != before {
-		t.Fatalf("scalar path recorded faults: %v", g.Faults()[before:])
-	}
-
-	// ResetFaults re-arms the switch.
-	g.ResetFaults()
-	if !g.UseOptimized() || g.Fallbacks() != 0 || len(g.Faults()) != 0 {
-		t.Fatal("ResetFaults did not re-arm the kill-switch")
-	}
-}
-
 // TestGuardWithPlanInjector wires the real faults.Plan at a high rate and
 // checks that detected corruption still converges to scalar-equal output —
 // the end-to-end contract the harness fault campaign relies on.
@@ -176,7 +133,7 @@ func TestGuardWithPlanInjector(t *testing.T) {
 		}
 
 		g := NewOps(isa, nil)
-		g.SetGuardPolicy(GuardPolicy{SampleRows: 64, MaxRetries: 0, KillAfter: -1})
+		g.SetGuardPolicy(GuardPolicy{SampleRows: 64, MaxRetries: 0})
 		plan := faults.NewPlan(faults.Config{Rate: 1e-3, Seed: 7, Kinds: []faults.Kind{faults.KindBitFlip}})
 		g.SetFaultInjector(plan)
 		got := image.NewMat(96, 64, image.U8)
@@ -186,7 +143,7 @@ func TestGuardWithPlanInjector(t *testing.T) {
 		if plan.Injected() == 0 {
 			t.Fatalf("%v: plan injected nothing at rate 1e-3", isa)
 		}
-		if g.Fallbacks() == 0 {
+		if !hasAction(g.Faults(), ActionFallback) {
 			t.Fatalf("%v: persistent high-rate faults should have forced a fallback", isa)
 		}
 		if !want.EqualTo(got) {
@@ -194,4 +151,13 @@ func TestGuardWithPlanInjector(t *testing.T) {
 				isa, want.DiffCount(got, 0))
 		}
 	}
+}
+
+func hasAction(fs []KernelFault, a FaultAction) bool {
+	for _, f := range fs {
+		if f.Action == a {
+			return true
+		}
+	}
+	return false
 }

@@ -65,7 +65,7 @@ func (o *Ops) curSpan() *obs.Span {
 // is attached. It also counts call-tree depth and, at the outermost entry
 // of a guarded Ops with a breaker set attached, asks the kernel's breaker
 // whether the SIMD path may run — runs denied there fall through to the
-// scalar path via UseOptimized without consuming the useOptimized latch.
+// scalar path via UseOptimized without touching the useOptimized switch.
 func (o *Ops) beginKernel(name string) *obs.Span {
 	if o.instrumentFree() {
 		// Fast path: without a breaker, registry, supervisor or watchdog the

@@ -23,7 +23,7 @@ import (
 func TestAuditFullRateMatchesGuardGroundTruth(t *testing.T) {
 	guarded, err := RunFaultCampaign(context.Background(), "GauBlu", testRes, CampaignConfig{
 		Rate: 1e-3, Seed: 17, Burst: 12,
-		Policy: cv.GuardPolicy{SampleRows: testRes.Height, MaxRetries: 0, KillAfter: -1},
+		Policy: cv.GuardPolicy{SampleRows: testRes.Height, MaxRetries: 0},
 	})
 	if err != nil {
 		t.Fatal(err)

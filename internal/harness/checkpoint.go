@@ -47,7 +47,6 @@ type campaignCellRecord struct {
 	Detected       int            `json:"detected"`
 	RetryRecovered int            `json:"retry_recovered"`
 	Fallbacks      int            `json:"fallbacks"`
-	KillSwitch     int            `json:"kill_switch"`
 	InjectedDelta  uint64         `json:"injected_delta"`
 	MaskedDelta    uint64         `json:"masked_delta"`
 	PlanCalls      uint64         `json:"plan_calls"`
@@ -96,7 +95,7 @@ func campaignFingerprint(bench string, res image.Resolution, cfg CampaignConfig,
 		fmt.Sprintf("sites=%v", cfg.Sites),
 		fmt.Sprintf("kinds=%v", cfg.Kinds),
 		fmt.Sprintf("burst=%d", burst),
-		fmt.Sprintf("policy=%+v", pol),
+		fmt.Sprintf("rows=%d,retries=%d", pol.SampleRows, pol.MaxRetries),
 	}
 	// Audit and guard-disable parts are appended only when set, so journals
 	// from pre-audit builds keep their fingerprints.
@@ -200,7 +199,6 @@ func replayCampaignRecord(rec campaignCellRecord, ir *ISAFaultReport,
 	ir.Detected += rec.Detected
 	ir.RetryRecovered += rec.RetryRecovered
 	ir.Fallbacks += rec.Fallbacks
-	ir.KillSwitch += rec.KillSwitch
 	ir.Masked += rec.MaskedDelta
 	ir.Audits += rec.AuditsDelta
 	ir.AuditCaught += rec.AuditCaught
@@ -212,7 +210,6 @@ func replayCampaignRecord(rec campaignCellRecord, ir *ISAFaultReport,
 		{cv.ActionDetected.String(), rec.Detected},
 		{cv.ActionRetryRecovered.String(), rec.RetryRecovered},
 		{cv.ActionFallback.String(), rec.Fallbacks},
-		{cv.ActionKillSwitch.String(), rec.KillSwitch},
 	} {
 		if oc.n > 0 {
 			reg.Counter("fault_classified_total", lISA,
@@ -232,9 +229,8 @@ func replayCampaignRecord(rec campaignCellRecord, ir *ISAFaultReport,
 // restoreCampaignState positions a fresh plan and Ops where the journaled
 // prefix left them: cumulative plan counters (the decision stream needs no
 // restoration — it is reseeded per (pass, row)), the pass sequence that
-// derives those salts, the guard's fallback/kill-switch state, and — when
-// both the caller and the journal carry one — the auditor's sampler stream
-// position and tallies.
+// derives those salts, and — when both the caller and the journal carry
+// one — the auditor's sampler stream position and tallies.
 func restoreCampaignState(done []campaignCellRecord, plan *faults.Plan, o *cv.Ops, aud *integrity.Auditor) (prevInjected uint64) {
 	if len(done) == 0 {
 		return 0

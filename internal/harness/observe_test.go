@@ -94,7 +94,7 @@ func TestFaultCampaignObservability(t *testing.T) {
 	rep, err := RunFaultCampaign(context.Background(), "GauBlu", testRes, CampaignConfig{
 		Rate:   1e-4,
 		Seed:   7,
-		Policy: cv.GuardPolicy{SampleRows: 64, MaxRetries: 0, KillAfter: -1},
+		Policy: cv.GuardPolicy{SampleRows: 64, MaxRetries: 0},
 		Obs:    reg,
 	})
 	if err != nil {

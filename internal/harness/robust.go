@@ -429,7 +429,6 @@ type ISAFaultReport struct {
 	Detected       int    // guard detections (images with divergence)
 	RetryRecovered int    // detections resolved by re-running the SIMD path
 	Fallbacks      int    // images resolved by substituting the scalar result
-	KillSwitch     int    // kill-switch trips (optimized paths disabled)
 	Masked         uint64 // faults injected into images neither guard nor audit flagged
 	Audits         uint64 // sampled redundant-execution audits performed
 	AuditCaught    uint64 // audits that observed silent corruption
@@ -600,7 +599,7 @@ func RunFaultCampaign(ctx context.Context, bench string, res image.Resolution, c
 			delta := plan.Injected() - prevInjected
 			prevInjected = plan.Injected()
 			cfg.Obs.Counter("fault_injected_total", lISA).Add(delta)
-			d0, r0, f0, k0 := ir.Detected, ir.RetryRecovered, ir.Fallbacks, ir.KillSwitch
+			d0, r0, f0 := ir.Detected, ir.RetryRecovered, ir.Fallbacks
 			var auditsDelta, caughtDelta uint64
 			if aud != nil {
 				auditsDelta = aud.Sampled() - prevAudits
@@ -621,8 +620,6 @@ func RunFaultCampaign(ctx context.Context, bench string, res image.Resolution, c
 					ir.RetryRecovered++
 				case cv.ActionFallback:
 					ir.Fallbacks++
-				case cv.ActionKillSwitch:
-					ir.KillSwitch++
 				}
 				cfg.Obs.Counter("fault_classified_total", lISA,
 					obs.L("outcome", f.Action.String())).Inc()
@@ -649,7 +646,6 @@ func RunFaultCampaign(ctx context.Context, bench string, res image.Resolution, c
 					Detected:       ir.Detected - d0,
 					RetryRecovered: ir.RetryRecovered - r0,
 					Fallbacks:      ir.Fallbacks - f0,
-					KillSwitch:     ir.KillSwitch - k0,
 					InjectedDelta:  delta,
 					MaskedDelta:    maskedDelta,
 					PlanCalls:      plan.Calls(),
@@ -680,12 +676,12 @@ func RunFaultCampaign(ctx context.Context, bench string, res image.Resolution, c
 func (r *FaultReport) Render(w io.Writer) {
 	fmt.Fprintf(w, "Fault campaign: bench=%s size=%s rate=%g seed=%d\n\n",
 		r.Bench, r.Res.Name, r.Rate, r.Seed)
-	fmt.Fprintf(w, "%-8s %7s %14s %9s %9s %9s %9s %11s %7s\n",
-		"ISA", "images", "opportunities", "injected", "detected", "retry-ok", "fallback", "kill-switch", "masked")
+	fmt.Fprintf(w, "%-8s %7s %14s %9s %9s %9s %9s %7s\n",
+		"ISA", "images", "opportunities", "injected", "detected", "retry-ok", "fallback", "masked")
 	for _, ir := range r.PerISA {
-		fmt.Fprintf(w, "%-8s %7d %14d %9d %9d %9d %9d %11d %7d\n",
+		fmt.Fprintf(w, "%-8s %7d %14d %9d %9d %9d %9d %7d\n",
 			ir.ISA, ir.Images, ir.Opportunities, ir.Injected, ir.Detected,
-			ir.RetryRecovered, ir.Fallbacks, ir.KillSwitch, ir.Masked)
+			ir.RetryRecovered, ir.Fallbacks, ir.Masked)
 	}
 	var inj, masked uint64
 	for _, ir := range r.PerISA {

@@ -72,9 +72,8 @@ func TestFaultCampaignDetectsCorruption(t *testing.T) {
 	rep, err := RunFaultCampaign(context.Background(), "GauBlu", testRes, CampaignConfig{
 		Rate: 1e-4,
 		Seed: 7,
-		// Retries off and kill-switch disabled so every detection becomes a
-		// fallback and injection continues across the whole burst.
-		Policy: cv.GuardPolicy{SampleRows: 64, MaxRetries: 0, KillAfter: -1},
+		// Retries off so every detection becomes a fallback.
+		Policy: cv.GuardPolicy{SampleRows: 64, MaxRetries: 0},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,12 +36,6 @@ type AuditConfig struct {
 	// Seed drives the deterministic sampler stream. Zero means 1, so two
 	// runs with identical configuration sample identical calls.
 	Seed uint64
-	// SliceRows, when positive, bounds each audit's comparison to a
-	// deterministically chosen window of this many rows instead of the
-	// full plane — cheaper verdicts at the cost of per-audit coverage
-	// (the referee still computes the full reference image, so a caught
-	// mismatch is still repaired everywhere). Zero compares every row.
-	SliceRows int
 }
 
 // Region is the row window an audit compared ([Row0, Row1) of a
@@ -174,25 +168,6 @@ func (a *Auditor) Sample() bool {
 	}
 	a.skipped.Add(1)
 	return false
-}
-
-// Window returns the row window [lo, hi) an audit of an h-row image
-// compares: the full plane, or a deterministically drawn SliceRows-high
-// band.
-func (a *Auditor) Window(h int) (lo, hi int) {
-	n := a.cfg.SliceRows
-	if n <= 0 || n >= h {
-		return 0, h
-	}
-	a.mu.Lock()
-	s := a.rng
-	s ^= s << 13
-	s ^= s >> 7
-	s ^= s << 17
-	a.rng = s
-	a.mu.Unlock()
-	lo = int((s * 0x2545F4914F6CDD1D) % uint64(h-n+1))
-	return lo, lo + n
 }
 
 // Observe records one audit outcome: the audit_total{kernel,isa,outcome}

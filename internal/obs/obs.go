@@ -8,7 +8,7 @@
 // The paper's argument rests on measured dynamic quantities — instructions
 // retired per pixel, per-class pipe occupancy, AUTO/HAND timing ratios —
 // and the guard/fault machinery adds detections, retries, fallbacks and
-// kill-switch trips on top. This package turns all of them into a single
+// breaker transitions on top. This package turns all of them into a single
 // queryable artifact per run instead of ad-hoc text tables: the emulation
 // units, the cv kernels, the IR executor and the harness all report here.
 //

@@ -16,9 +16,7 @@ type State int
 // the breaker (SIMD demoted to scalar); after a cooldown the breaker goes
 // half-open and admits a bounded number of probe calls; clean probes close
 // it again. StuckOpen is the terminal state after the configured number of
-// failed re-arm cycles — the breaker-layer equivalent of the old
-// setUseOptimized(false) kill-switch, except it is reached by policy, not
-// by the third fallback ever seen.
+// failed re-arm cycles, and the only terminal demotion of a SIMD path.
 const (
 	StateClosed State = iota
 	StateOpen
@@ -63,8 +61,7 @@ type BreakerConfig struct {
 	ProbeSuccesses int
 	// GiveUpAfter, when positive, is how many consecutive open trips the
 	// breaker tolerates without managing to close; the next trip latches
-	// StuckOpen — the terminal action that maps onto the cv kill-switch.
-	// Zero means the breaker re-arms forever.
+	// StuckOpen, the terminal state. Zero means the breaker re-arms forever.
 	GiveUpAfter int
 	// Clock is the time source; nil means time.Now. Tests and the
 	// integration harness inject a manual clock for deterministic

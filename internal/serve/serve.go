@@ -46,8 +46,8 @@ type Config struct {
 	// MaxPixels caps width*height per request. Default 1<<22 (4 Mpx).
 	MaxPixels int
 	// Guard is the guarded-dispatch policy shared by every worker Ops.
-	// The zero value takes cv.DefaultGuardPolicy with the kill-switch
-	// disabled — terminal demotion belongs to the breaker's GiveUpAfter.
+	// The zero value takes cv.DefaultGuardPolicy; terminal demotion
+	// belongs to the breaker's GiveUpAfter.
 	Guard cv.GuardPolicy
 	// Breaker configures the per-(kernel, ISA) circuit breakers.
 	Breaker resilience.BreakerConfig
@@ -152,7 +152,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Guard == (cv.GuardPolicy{}) {
 		c.Guard = cv.DefaultGuardPolicy()
-		c.Guard.KillAfter = -1
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()

@@ -104,8 +104,8 @@ type Counter struct {
 	seq    []Op
 
 	// events counts named out-of-band occurrences that are not
-	// instructions — fault detections, scalar fallbacks, kill-switch
-	// trips — so robustness telemetry rides the same Counter plumbing
+	// instructions — fault detections, retries, scalar fallbacks — so
+	// robustness telemetry rides the same Counter plumbing
 	// (Add/Reset/Summary) as the instruction stream.
 	events map[string]uint64
 }
